@@ -3,7 +3,7 @@
 The membership matrix ``membership[i, j] = rule j covers pair i`` is the
 scoring hot path of the whole system (Section 7.6 of the paper argues risk
 scoring must stay cheap for LearnRisk to scale).  This benchmark measures the
-legacy per-rule Python loop (:func:`repro.risk.engine.legacy_rule_matrix`,
+legacy per-rule Python loop (:func:`repro.risk._oracle.legacy_rule_matrix`,
 exactly what ``GeneratedRiskFeatures.rule_matrix`` used to do) against the
 compiled :class:`repro.risk.engine.RuleKernel` over a grid of workload sizes,
 asserts the two are value-identical on every cell (including NaN metric
@@ -30,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs import MetricsRegistry
-from repro.risk.engine import RuleKernel, legacy_rule_matrix
+from repro.risk._oracle import legacy_rule_matrix
+from repro.risk.engine import RuleKernel
 from repro.risk.rules import Condition, RiskRule
 
 DEFAULT_PAIRS = (10_000, 50_000, 200_000)

@@ -8,7 +8,7 @@ from .distributions import (
     truncated_normal_mean,
     truncated_normal_quantile,
 )
-from .engine import PackedMembership, RuleKernel, legacy_rule_matrix
+from .engine import PackedMembership, RuleKernel
 from .feature_generation import GeneratedRiskFeatures, RiskFeatureGenerator
 from .metrics import (
     conditional_value_at_risk,
@@ -73,7 +73,6 @@ __all__ = [
     "expectation_risk",
     "feature_contributions",
     "gini_value",
-    "legacy_rule_matrix",
     "normal_quantile",
     "one_sided_gini",
     "output_bin_matrix",

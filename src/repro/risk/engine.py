@@ -262,17 +262,3 @@ class RuleKernel:
             lambda start, stop, memb: np.copyto(bits[start:stop], np.packbits(memb.T, axis=1)),
         )
         return PackedMembership(bits=bits, n_rules=self.n_rules)
-
-
-def legacy_rule_matrix(rules: Sequence[RiskRule], metric_matrix: np.ndarray) -> np.ndarray:
-    """The pre-kernel per-rule Python loop, kept as the parity/benchmark reference.
-
-    This is exactly what :meth:`GeneratedRiskFeatures.rule_matrix` did before
-    the kernel existed; tests assert the kernel is bit-identical to it and
-    ``benchmarks/bench_rule_engine.py`` measures the speedup against it.
-    """
-    metric_matrix = np.asarray(metric_matrix, dtype=float)
-    if not rules:
-        return np.zeros((len(metric_matrix), 0), dtype=float)
-    columns = [rule.coverage(metric_matrix).astype(float) for rule in rules]
-    return np.column_stack(columns)

@@ -28,7 +28,7 @@ from ..data.workload import Workload
 from ..exceptions import DataError, PersistenceError
 from ..features.vectorizer import PairVectorizer
 from ..serialization import component_state, require_state, state_field
-from .engine import PackedMembership, RuleKernel, legacy_rule_matrix
+from .engine import PackedMembership, RuleKernel
 from .onesided_tree import OneSidedTreeBuilder, OneSidedTreeConfig
 from .rules import RiskRule, deduplicate_rules, estimate_expectations, remove_redundant_rules
 
@@ -117,14 +117,10 @@ class GeneratedRiskFeatures:
         """Binary (n_pairs, n_rules) membership matrix over a metric matrix.
 
         Delegates to the compiled :attr:`kernel`; bit-identical to (and much
-        faster than) the legacy per-rule loop, which survives as
-        :meth:`rule_matrix_legacy` for parity tests and benchmarks.
+        faster than) the legacy per-rule loop, which survives as the parity
+        oracle ``repro.risk._oracle.legacy_rule_matrix``.
         """
         return self.kernel.membership(metric_matrix, dtype=float)
-
-    def rule_matrix_legacy(self, metric_matrix: np.ndarray) -> np.ndarray:
-        """The pre-kernel per-rule Python loop (parity/benchmark reference)."""
-        return legacy_rule_matrix(self.rules, metric_matrix)
 
     def membership(
         self, metric_matrix: np.ndarray, packed: bool = False

@@ -14,7 +14,7 @@ column by column, falling back to the scalar function for metrics without a
 kernel (custom metrics).
 """
 
-from .chars import batched_jaro_winkler, batched_lcs_length, batched_levenshtein
+from .chars import batched_jaro_winkler
 from .interner import AttributeView, CorpusIndex, TokenInterner
 from .kernels import BATCH_KERNELS, BatchKernel
 
@@ -25,6 +25,4 @@ __all__ = [
     "CorpusIndex",
     "TokenInterner",
     "batched_jaro_winkler",
-    "batched_lcs_length",
-    "batched_levenshtein",
 ]

@@ -10,7 +10,7 @@ caching every derived representation against that id:
 * the normalised string and its interned norm id (exact-match in O(1));
 * the token list, interned token-id arrays (sequence order) and sorted unique
   token-id arrays (set metrics as sorted-id intersections);
-* UTF-32 character-code arrays (the batched edit / LCS / Jaro DP kernels);
+* UTF-32 character-code arrays (the bit-parallel edit / LCS / Jaro kernels);
 * entity-set id arrays and entity-list cardinalities (entity metrics);
 * character n-gram id arrays, abbreviations, compact (space-free) forms;
 * parsed numeric values with a present mask (numeric metrics);
@@ -327,7 +327,7 @@ class AttributeView:
                 self._token_counts.append(Counter(self._token_lists[entry]))
 
     def ensure_char_codes(self) -> None:
-        """UTF-32 code-point arrays of the normalised values (DP kernels)."""
+        """UTF-32 code-point arrays of the normalised values (char kernels)."""
         with self._index.lock:
             for entry in range(len(self._char_code_arrays), len(self.norms)):
                 norm = self.norms[entry]
@@ -488,10 +488,6 @@ class AttributeView:
     def norm_column(self) -> np.ndarray:
         with self._index.lock:
             return self._norm_mirror.sync(self.norms)
-
-    def token_id_column(self) -> np.ndarray:
-        with self._index.lock:
-            return self._token_id_mirror.sync(self._token_id_arrays)
 
     def token_id_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """``(ordered token-id arrays, token counts)``, aligned by entry id."""
@@ -696,7 +692,7 @@ class AttributeView:
         """Record ``metric`` scores computed as a by-product of another kernel.
 
         Kernels that derive several registry metrics from one shared
-        computation (the char-DP trio, the token-set trio, the entity pair)
+        computation (the char trio, the token-set trio, the entity pair)
         call this for the companion metrics; those columns then resolve
         entirely from the score store without running a kernel at all.
 
@@ -713,70 +709,6 @@ class AttributeView:
             store = self._metric_store(metric)
             store.scores[ids] = values
             store.known[ids] = True
-
-    # ------------------------------------------------------------- accessors
-    # Kernels gather per-entry rows with plain list indexing; these aliases
-    # keep the call sites readable without hiding the laziness contract
-    # (callers must ensure_* the representation first).
-    @property
-    def token_lists(self) -> list[list[str]]:
-        return self._token_lists
-
-    @property
-    def token_id_arrays(self) -> list[np.ndarray]:
-        return self._token_id_arrays
-
-    @property
-    def token_set_arrays(self) -> list[np.ndarray]:
-        return self._token_set_arrays
-
-    @property
-    def token_counts(self) -> list[Counter]:
-        return self._token_counts
-
-    @property
-    def char_code_arrays(self) -> list[np.ndarray]:
-        return self._char_code_arrays
-
-    @property
-    def entity_set_arrays(self) -> list[np.ndarray]:
-        return self._entity_set_arrays
-
-    @property
-    def entity_list_sizes(self) -> list[int]:
-        return self._entity_list_sizes
-
-    @property
-    def ngram_set_arrays(self) -> list[np.ndarray]:
-        return self._ngram_set_arrays
-
-    @property
-    def abbreviations(self) -> list[str]:
-        return self._abbreviations
-
-    @property
-    def compact_norms(self) -> list[str]:
-        return self._compact_norms
-
-    @property
-    def numeric_values(self) -> list[float]:
-        return self._numeric_values
-
-    @property
-    def numeric_present(self) -> list[bool]:
-        return self._numeric_present
-
-    @property
-    def tfidf_token_arrays(self) -> list[np.ndarray]:
-        return self._tfidf_token_arrays
-
-    @property
-    def tfidf_weight_arrays(self) -> list[np.ndarray]:
-        return self._tfidf_weight_arrays
-
-    @property
-    def key_token_set_arrays(self) -> list[np.ndarray]:
-        return self._key_token_set_arrays
 
 
 class _Unset:
@@ -813,7 +745,7 @@ class CorpusIndex:
         # Sorted packed (left token << 32) | right token keys and their inner
         # Jaro-Winkler scores, memoised corpus-wide for Monge-Elkan: token
         # vocabularies saturate quickly on real data, so after a few batches
-        # almost every token pair is a searchsorted hit instead of a DP run.
+        # almost every token pair is a searchsorted hit instead of a kernel run.
         self._token_pair_jw_keys = np.empty(0, dtype=np.int64)
         self._token_pair_jw_scores = np.empty(0, dtype=float)
         # Lexicographic rank of every interned string, maintained
@@ -905,7 +837,7 @@ class CorpusIndex:
         ``keys`` are sorted packed ``(left token << 32) | right token`` ids
         (token ids are corpus-global, so the cache is shared by every
         attribute).  Hits are one ``searchsorted`` gather; only never-seen
-        pairs run the batched DP, and their scores merge into the sorted
+        pairs run the batched kernel, and their scores merge into the sorted
         cache for the next batch.  Cached scores came out of the very same
         kernel on the very same code arrays, so a hit is bit-identical to a
         recompute by construction.

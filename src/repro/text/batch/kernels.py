@@ -297,10 +297,10 @@ def _dp_rows(view, active, left_ids, right_ids):
     )
 
 
-# Edit, LCS and Jaro-Winkler read the same packed character matrices, so one
-# shared pass computes all three (the Levenshtein and LCS recurrences even
-# share their per-row character-equality masks) and stashes the two companion
-# columns — the stash-the-companion pattern of the token-set trio.
+# Edit, LCS and Jaro-Winkler share one bit-parallel pass (the same packing,
+# Peq table and per-step equality masks), so one kernel call computes all
+# three and stashes the two companion columns — the stash-the-companion
+# pattern of the token-set trio.
 _CHAR_METRICS = ("edit", "lcs", "jaro_winkler")
 
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.risk.engine import PackedMembership, RuleKernel, legacy_rule_matrix
+from repro.risk._oracle import legacy_rule_matrix
+from repro.risk.engine import PackedMembership, RuleKernel
 from repro.risk.portfolio import aggregate_portfolio
 from repro.risk.rules import Condition, RiskRule
 
@@ -86,7 +87,7 @@ class TestKernelParity:
         assert len(features.rules) > 0
         matrix = prepared_ds.test.features
         np.testing.assert_array_equal(
-            features.rule_matrix(matrix), features.rule_matrix_legacy(matrix)
+            features.rule_matrix(matrix), legacy_rule_matrix(features.rules, matrix)
         )
 
     def test_generated_forest_parity_with_nans(self, prepared_ds):

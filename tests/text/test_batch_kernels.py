@@ -4,14 +4,18 @@ Every registry metric with a batch kernel is compared column-for-column
 against its scalar function — the comparison is ``np.array_equal`` on the
 float bits, never an approximate one — over a pool of adversarial values
 (``None``, empties, whitespace-only, unicode, separators, numeric-looking
-strings, strings long enough to leave the int8 DP cells) and over
-hypothesis-drawn pairs.  The char kernels additionally run with a tiny cell
-budget to force their fallback branches, which must select identical
-matches, and the Monge-Elkan exact-token short-circuit is pinned against a
-full-scan reference.
+strings, strings longer than one 64-bit word) and over hypothesis-drawn
+pairs long enough to cross the word boundary.  The bit-parallel char kernels
+are additionally pinned against the scalar oracles at every length either
+side of the 64- and 128-bit word boundaries, over two- and three-letter
+alphabets (dense matches stress the carries, borrows and guard bits) and
+unicode, in batches that mix long and short left strings.  The Monge-Elkan
+exact-token short-circuit is pinned against a full-scan reference.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from hypothesis import strategies as st
 import repro.text.batch.chars as chars
 from repro.data.schema import Attribute, AttributeType
 from repro.features.metric_registry import metrics_for_attribute
-from repro.text.batch.chars import batched_char_trio
+from repro.text.batch.chars import batched_char_trio, batched_jaro_winkler
 from repro.text.batch.interner import CorpusIndex
 from repro.text.similarity import (
     jaro_winkler_similarity,
@@ -33,7 +37,7 @@ from repro.text.tokenize import idf_weights, normalize, tokenize
 
 #: Values chosen to hit every edge branch: missing, empty-after-normalise,
 #: single chars, unicode, entity separators, numeric-looking text, repeated
-#: tokens, and strings past the 126-char int8 DP-cell boundary.
+#: tokens, and strings spanning two to four 64-bit words.
 ADVERSARIAL = [
     None, "", " ", "  ,  ", "a", "A", "aa", "ab", "ba", "b" * 130, "ab" * 100,
     "léo ève ünïcode", "the the the", "one two three four five",
@@ -92,7 +96,7 @@ text_values = st.one_of(
             whitelist_categories=("Ll", "Lu", "Nd"),
             whitelist_characters=" ,.-",
         ),
-        max_size=48,
+        max_size=150,
     ),
 )
 
@@ -110,21 +114,99 @@ def codes_of(string):
     return np.frombuffer(string.encode("utf-32-le"), dtype=np.int32).copy()
 
 
-def test_char_trio_budget_fallback_parity(monkeypatch):
-    """A tiny cell budget forces the fallback branches; matches are identical."""
-    values = [normalize(value) if value else "" for value in ADVERSARIAL]
-    pairs = [(a, b) for a in values for b in values if a and b]
+#: Lengths either side of the packed kernels' 64-bit word boundaries.
+BOUNDARY_LENGTHS = (0, 1, 63, 64, 65, 127, 128, 129, 200)
+#: Two- and three-letter alphabets make matches dense (long carry and borrow
+#: chains); the unicode one puts code points beyond ASCII and the BMP.
+ALPHABETS = ("ab", "abc", "é日ßж😀")
+
+
+def random_string(rng, alphabet, length):
+    return normalize("".join(rng.choice(alphabet) for _ in range(length)))
+
+
+def assert_char_trio_parity(pairs):
     lefts = [codes_of(a) for a, _ in pairs]
     rights = [codes_of(b) for _, b in pairs]
-    expected = batched_char_trio(lefts, rights)
-    monkeypatch.setattr(chars, "CELL_BUDGET", 1)
-    constrained = batched_char_trio(lefts, rights)
-    for full, tiny in zip(expected, constrained):
-        assert np.array_equal(full, tiny)
-    for (a, b), lev, lcs, jw in zip(pairs, *constrained):
-        assert lev == levenshtein_distance(a, b)
-        assert lcs == lcs_length(a, b)
-        assert jw == jaro_winkler_similarity(a, b)
+    distances, lcs_lengths, jw_scores = batched_char_trio(lefts, rights)
+    inner_jw = batched_jaro_winkler(lefts, rights)
+    for (a, b), lev, lcs, jw, inner in zip(pairs, distances, lcs_lengths, jw_scores, inner_jw):
+        assert lev == levenshtein_distance(a, b), (a, b)
+        assert lcs == lcs_length(a, b), (a, b)
+        assert jw == inner, (a, b)
+        if a and b:  # an empty side is the callers' missing-value prelude
+            assert jw == jaro_winkler_similarity(a, b), (a, b)
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS)
+def test_char_trio_word_boundary_singles(alphabet):
+    """One pair per call, at every boundary length on each side."""
+    rng = random.Random(alphabet)
+    for length in BOUNDARY_LENGTHS:
+        for other in (length, rng.choice(BOUNDARY_LENGTHS)):
+            pair = (random_string(rng, alphabet, length), random_string(rng, alphabet, other))
+            assert_char_trio_parity([pair])
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS)
+@pytest.mark.parametrize("batch", [14, 256])
+def test_char_trio_word_boundary_batches(alphabet, batch):
+    """Mixed boundary lengths in one call, plus one long left among short ones."""
+    rng = random.Random(f"{alphabet}/{batch}")
+    pairs = [
+        (
+            random_string(rng, alphabet, rng.choice(BOUNDARY_LENGTHS)),
+            random_string(rng, alphabet, rng.choice(BOUNDARY_LENGTHS)),
+        )
+        for _ in range(batch)
+    ]
+    assert_char_trio_parity(pairs)
+    # Every pair but one freezes after a few steps, by truncation, while the
+    # long row keeps running across all of the others' words.
+    short = [
+        (random_string(rng, alphabet, rng.randint(1, 5)), random_string(rng, alphabet, length))
+        for length in rng.choices(BOUNDARY_LENGTHS, k=batch - 1)
+    ]
+    short.insert(rng.randrange(batch), (random_string(rng, alphabet, 200), random_string(rng, alphabet, 129)))
+    assert_char_trio_parity(short)
+
+
+def test_char_trio_long_strings_split_into_blocks(monkeypatch):
+    """A small step-table bound splits a call into many blocks; scores stay exact."""
+    rng = random.Random("blocks")
+    lengths = rng.choices(BOUNDARY_LENGTHS, k=80)
+    pairs = [
+        (random_string(rng, "abc", left), random_string(rng, "abc", right))
+        for left, right in zip(lengths[::2], lengths[1::2])
+    ]
+    lefts = [codes_of(a) for a, _ in pairs]
+    rights = [codes_of(b) for _, b in pairs]
+    whole = batched_char_trio(lefts, rights) + (batched_jaro_winkler(lefts, rights),)
+    monkeypatch.setattr(chars, "TABLE_WORDS", 2000)  # two pairs per block
+    split = batched_char_trio(lefts, rights) + (batched_jaro_winkler(lefts, rights),)
+    for expected, actual in zip(whole, split):
+        assert np.array_equal(expected, actual)
+    assert_char_trio_parity(pairs)
+
+
+@pytest.mark.parametrize("length", [4, 6, 9, 64, 65, 130, 200])
+def test_jaro_window_edges(length):
+    """A lone shared character just inside and just outside the match window.
+
+    With window ``w``, left position ``i`` may match right positions
+    ``i - w .. i + w``: the pairs below put the only shared character at each
+    edge and one step beyond, on both sides, so the kernel's sliding window
+    must open and close on exactly the scalar's steps.
+    """
+    reach = length // 2 - 1
+    pairs = []
+    for offset in (reach, reach + 1):
+        pairs.append(("x" * offset + "a" + "y" * (length - offset - 1), "a" + "z" * (length - 1)))
+        pairs.append(("a" + "y" * (length - 1), "z" * offset + "a" + "x" * (length - offset - 1)))
+    assert_char_trio_parity(pairs)
+    jw = batched_jaro_winkler([codes_of(a) for a, _ in pairs], [codes_of(b) for _, b in pairs])
+    assert jw[0] > 0.0 and jw[1] > 0.0  # on the window's edge: one match
+    assert jw[2] == 0.0 and jw[3] == 0.0  # one step outside: none
 
 
 # --------------------------------------------------- Monge-Elkan short-circuit

@@ -63,13 +63,13 @@ class TestInterning:
         view = text_view()
         view.entry_ids(VALUES)
         # Interning alone builds no tokenisations; the ensure_* builders do.
-        assert view.token_lists == []
+        assert view._token_lists == []
         view.ensure_tokens()
-        assert len(view.token_lists) == len(VALUES)
+        assert len(view._token_lists) == len(VALUES)
         # And ensure_* is idempotent — a second call rebuilds nothing.
-        lists = view.token_lists
+        lists = view._token_lists
         view.ensure_tokens()
-        assert view.token_lists is lists
+        assert view._token_lists is lists
 
 
 class TestMemoisation:
@@ -128,7 +128,7 @@ class TestMemoisation:
             raise AssertionError("companion columns must come from the stash")
 
         # jaccard's kernel stashes the token-set companions, edit's kernel
-        # stashes the char-DP companions — none may run a kernel again.
+        # stashes the char-trio companions — none may run a kernel again.
         for companion in ("overlap", "dice", "lcs", "jaro_winkler"):
             view.memoized_scores(companion, kernel, dedup, {"idf": None})
 

@@ -44,7 +44,7 @@ from pathlib import Path
 from repro.blocking import GeneratedCorpus
 from repro.data.generators import GenerationConfig
 from repro.data.records import Record, RecordPair
-from repro.obs import MetricsRegistry, Stopwatch
+from repro.obs import MetricsRegistry, Stopwatch, use_recorder
 from repro.online import EventLog, OnlineResolver, ResolutionPolicy, record_key, replay_events
 from repro.serve import RiskService, load_pipeline
 from repro.serve.cli import main as serve_cli
@@ -110,14 +110,9 @@ def run_online(args: argparse.Namespace, model_dir: Path, events_path: Path) -> 
     """Stream the corpus through the resolver; everything stays incremental."""
     metrics = MetricsRegistry()
     tracemalloc.start()
-    with Stopwatch() as watch:
-        service = RiskService(
-            load_pipeline(model_dir), max_batch_size=256, cache_size=0, metrics=metrics
-        )
-        resolver = OnlineResolver(
-            service, make_policy(args),
-            event_log=EventLog(events_path), recorder=metrics,
-        )
+    with use_recorder(metrics), Stopwatch() as watch:
+        service = RiskService(load_pipeline(model_dir), max_batch_size=256, cache_size=0)
+        resolver = OnlineResolver(service, make_policy(args), event_log=EventLog(events_path))
         summary = resolver.resolve_corpus(make_corpus(args))
     seconds = watch.seconds
     _, peak = tracemalloc.get_traced_memory()

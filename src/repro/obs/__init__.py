@@ -5,9 +5,10 @@ Public surface:
 * :class:`MetricsRegistry` — thread-safe counters / gauges / streaming
   histograms / nested span timings, with JSON snapshot export.
 * :class:`StreamingHistogram` — bounded-memory p50/p95/p99 estimates.
-* :func:`get_recorder` / :func:`set_recorder` / :func:`use_recorder` — the
-  process-global recorder the instrumented library records into; defaults to
-  :data:`NULL_RECORDER` so the disabled path costs ~nothing.
+* :func:`get_recorder` / :func:`use_recorder` — the recorder the
+  instrumented library records into, scoped per thread and per asyncio task
+  (a :class:`contextvars.ContextVar`); defaults to :data:`NULL_RECORDER` so
+  the disabled path costs ~nothing.
 * :class:`Stopwatch` — the benchmarks' wall-clock timing primitive.
 """
 
@@ -19,7 +20,6 @@ from .registry import (
     NullRecorder,
     Stopwatch,
     get_recorder,
-    set_recorder,
     use_recorder,
 )
 
@@ -33,6 +33,5 @@ __all__ = [
     "NULL_RECORDER",
     "Stopwatch",
     "get_recorder",
-    "set_recorder",
     "use_recorder",
 ]

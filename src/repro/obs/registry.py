@@ -1,11 +1,11 @@
-"""The metrics registry, span timing contexts and the global recorder.
+"""The metrics registry, span timing contexts and the context-scoped recorder.
 
 :class:`MetricsRegistry` is the one mutable surface of :mod:`repro.obs`: a
 thread-safe collection of counters, gauges, streaming histograms and nested
 span timings with a JSON-safe :meth:`~MetricsRegistry.snapshot`.  Library code
 never holds a registry directly — it asks :func:`get_recorder` for the
-process-global recorder, which defaults to the :data:`NULL_RECORDER` no-op so
-uninstrumented runs pay (almost) nothing:
+recorder of the current context, which defaults to the :data:`NULL_RECORDER`
+no-op so uninstrumented runs pay (almost) nothing:
 
 * ``get_recorder().count(...)`` on the null recorder is one attribute lookup
   and one empty method call;
@@ -20,6 +20,16 @@ Enabling observability is one call (or one ``with`` block)::
     with obs.use_recorder(registry):
         pipeline.analyse(workload)
     print(registry.to_json())
+
+The recorder lives in a :class:`contextvars.ContextVar`, so it is scoped per
+thread and per asyncio task: two threads (or tasks) inside their own
+``use_recorder`` blocks never see each other's registry, and leaving the
+block restores whatever the context had before.  Work moved to another
+thread carries the caller's recorder only when its context is carried along
+— ``asyncio.to_thread`` does so, and the parallel engine's thread backend
+runs each chunk in a copy of the submitting context.  Only the owner of a
+registry (a benchmark, the CLI, the HTTP server) holds a reference to it; no
+library object is handed one to record into.
 
 **Spans** are nested wall-clock timings: ``span("risk_score")`` inside
 ``span("score_chunk")`` records under the dotted path
@@ -42,6 +52,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
 
@@ -383,27 +394,21 @@ class NullRecorder:
 #: The process-wide disabled recorder (a singleton; never mutated).
 NULL_RECORDER = NullRecorder()
 
-_global_recorder: MetricsRegistry | NullRecorder = NULL_RECORDER
+_recorder: ContextVar[MetricsRegistry | NullRecorder] = ContextVar(
+    "repro_recorder", default=NULL_RECORDER
+)
 
 
 def get_recorder() -> MetricsRegistry | NullRecorder:
-    """The process-global recorder the instrumented library code records into."""
-    return _global_recorder
-
-
-def set_recorder(recorder: MetricsRegistry | NullRecorder | None) -> None:
-    """Install ``recorder`` globally (``None`` restores the no-op recorder)."""
-    global _global_recorder
-    _global_recorder = NULL_RECORDER if recorder is None else recorder
+    """The recorder of the current context (thread or asyncio task)."""
+    return _recorder.get()
 
 
 @contextmanager
 def use_recorder(recorder: MetricsRegistry | NullRecorder) -> Iterator[MetricsRegistry | NullRecorder]:
-    """Install ``recorder`` for the duration of the block, then restore."""
-    global _global_recorder
-    previous = _global_recorder
-    _global_recorder = recorder
+    """Install ``recorder`` in the current context for the block, then restore."""
+    token = _recorder.set(recorder)
     try:
         yield recorder
     finally:
-        _global_recorder = previous
+        _recorder.reset(token)

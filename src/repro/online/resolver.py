@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..blocking.corpus import CorpusStream, CorpusWave
@@ -42,7 +42,7 @@ from ..data.records import Record, RecordPair
 from ..exceptions import ConfigurationError, DataError
 from ..obs import get_recorder
 from ..registry import ComponentRegistry
-from .cluster import ClusterStore, record_key
+from .cluster import record_key
 from .events import EventLog, ResolutionEvent, STATE_DECISIONS, replay_events
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime serve import)
@@ -203,12 +203,12 @@ class OnlineResolver:
         The append-only log decisions go to; defaults to an in-memory log.
         A log loaded from an existing JSONL file resumes its cluster state
         by replay before any new record is accepted.
-    recorder:
-        Obs recorder the ``online.*`` counters/gauges/spans go to; defaults
-        to the ambient :func:`~repro.obs.get_recorder` at each call (the CLI
-        path), but the HTTP tier pins its metrics registry here so ``GET
-        /stats`` sees the resolver's telemetry regardless of the global
-        recorder.
+
+    The ``online.*`` counters, gauges and spans go to the recorder of the
+    calling context (:func:`~repro.obs.get_recorder`).  Each record is one
+    ``online_resolve`` span with per-record children ``candidates``,
+    ``score``, ``explain`` and ``decide`` (``decide.journal`` times the log
+    appends), so the pipeline spans of the scoring calls nest beneath it.
 
     All public methods are thread-safe; one lock serialises resolution so
     cluster state, index and log always agree, while log *reads*
@@ -222,12 +222,10 @@ class OnlineResolver:
         policy: ResolutionPolicy,
         *,
         event_log: EventLog | None = None,
-        recorder=None,
     ) -> None:
         self.service = service
         self.policy = policy
         self.log = event_log if event_log is not None else EventLog()
-        self._pinned_recorder = recorder
         self._lock = threading.RLock()
         self._index = policy.build_index()
         self._records: dict[str, Record] = {}
@@ -237,13 +235,10 @@ class OnlineResolver:
         # rebuilds as the stream is re-fed.
         self.store = replay_events(self.log.events())
 
-    def _recorder(self):
-        return self._pinned_recorder if self._pinned_recorder is not None else get_recorder()
-
     # -------------------------------------------------------------- resolution
     def add_record(self, record: Record) -> list[ResolutionEvent]:
         """Resolve one arriving record; returns the decisions it produced."""
-        recorder = self._recorder()
+        recorder = get_recorder()
         with self._lock:
             started = time.perf_counter()
             with recorder.span("online_resolve"):
@@ -253,8 +248,11 @@ class OnlineResolver:
                         f"record key {key!r} was already resolved; online record "
                         "keys (source:record_id) must be unique per stream"
                     )
-                tokens = record_token_set(record, self.policy.attributes)
-                candidate_keys = self._index.candidates(tokens)
+                with recorder.span("candidates"):
+                    tokens = record_token_set(record, self.policy.attributes)
+                    candidate_keys = self._index.candidates(tokens)
+                    # Index *after* probing so a record never pairs with itself.
+                    self._index.add(key, tokens)
                 self._records[key] = record
                 self.store.add(key)
                 events: list[ResolutionEvent] = []
@@ -263,19 +261,20 @@ class OnlineResolver:
                         RecordPair(self._records[candidate], record)
                         for candidate in candidate_keys
                     ]
-                    scored = self.service.score_pairs(pairs)
+                    with recorder.span("score"):
+                        scored = self.service.score_pairs(pairs)
                     if self.policy.explain:
-                        explanations = self.service.explain_pairs(
-                            pairs, top_rules=self.policy.top_rules
-                        )
+                        with recorder.span("explain"):
+                            explanations = self.service.explain_pairs(
+                                pairs, top_rules=self.policy.top_rules
+                            )
                     else:
                         explanations = [None] * len(pairs)
-                    for candidate, one, explanation in zip(
-                        candidate_keys, scored, explanations
-                    ):
-                        events.append(self._decide(candidate, key, one, explanation))
-                # Index *after* probing so a record never pairs with itself.
-                self._index.add(key, tokens)
+                    with recorder.span("decide"):
+                        for candidate, one, explanation in zip(
+                            candidate_keys, scored, explanations
+                        ):
+                            events.append(self._decide(candidate, key, one, explanation))
             recorder.apply(
                 counters={
                     "online.records": 1,
@@ -318,7 +317,7 @@ class OnlineResolver:
             else:
                 decision, reason = "split", "risk_below_split_threshold"
 
-        recorder = self._recorder()
+        recorder = get_recorder()
         if decision == "merge":
             store.merge(left_key, right_key)
             cluster_after = store.members(left_key)
@@ -330,22 +329,23 @@ class OnlineResolver:
             recorder.count("online.escalations")
 
         left, right = self._records[left_key], self._records[right_key]
-        event = self.log.append(
-            decision=decision,
-            left_id=left.record_id,
-            left_source=left.source,
-            right_id=right.record_id,
-            right_source=right.source,
-            reason=reason,
-            probability=scored.probability,
-            machine_label=scored.machine_label,
-            risk_score=scored.risk_score,
-            threshold=threshold,
-            explanation=explanation.to_dict() if explanation is not None else None,
-            cluster_before_left=before_left,
-            cluster_before_right=before_right,
-            cluster_after=cluster_after,
-        )
+        with recorder.span("journal"):
+            event = self.log.append(
+                decision=decision,
+                left_id=left.record_id,
+                left_source=left.source,
+                right_id=right.record_id,
+                right_source=right.source,
+                reason=reason,
+                probability=scored.probability,
+                machine_label=scored.machine_label,
+                risk_score=scored.risk_score,
+                threshold=threshold,
+                explanation=explanation.to_dict() if explanation is not None else None,
+                cluster_before_left=before_left,
+                cluster_before_right=before_right,
+                cluster_after=cluster_after,
+            )
         if decision == "escalate":
             self._escalated.append(event.event_id)
         return event
@@ -401,7 +401,7 @@ class OnlineResolver:
             self.store = replay_events(self.log.events())
             for key in self._records:
                 self.store.add(key)
-            self._recorder().count("online.reverts")
+            get_recorder().count("online.reverts")
             return event
 
     # -------------------------------------------------------------- inspection

@@ -34,6 +34,7 @@ that scores with the parent pipeline directly.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import os
 import threading
@@ -237,7 +238,12 @@ class ParallelScoringEngine:
 
         executor = self._get_executor(backend)
         if backend == "thread":
-            submit = lambda chunk: executor.submit(self._score_in_thread, chunk, explain_top)  # noqa: E731
+            # Each chunk runs in its own copy of the caller's context, so the
+            # worker records into the caller's recorder; one Context cannot
+            # be entered by two threads at once, hence a fresh copy per chunk.
+            submit = lambda chunk: executor.submit(  # noqa: E731
+                contextvars.copy_context().run, self._score_in_thread, chunk, explain_top
+            )
         else:
             submit = lambda chunk: executor.submit(_score_chunk_in_process, chunk, explain_top)  # noqa: E731
 

@@ -84,7 +84,6 @@ import argparse
 import csv
 import json
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 from typing import Sequence
 
@@ -105,7 +104,7 @@ from ..data.sources import CsvPairSource, InMemorySource, PairSource
 from ..data.workload import Workload
 from ..evaluation.roc import auroc_score, mislabel_indicator
 from ..exceptions import DataError, ReproError
-from ..obs import MetricsRegistry, use_recorder
+from ..obs import NULL_RECORDER, MetricsRegistry, NullRecorder, use_recorder
 from ..pipeline import LearnRiskPipeline
 from ..risk.onesided_tree import OneSidedTreeConfig
 from ..risk.training import TrainingConfig
@@ -247,32 +246,29 @@ def _load_source(args: argparse.Namespace, schema: Schema) -> PairSource:
     raise SystemExit("provide --dataset, --data-dir or --source")
 
 
-def _metrics_registry(args: argparse.Namespace) -> MetricsRegistry | None:
-    """One registry for the whole score run when ``--metrics-out`` was given.
+def _metrics_registry(args: argparse.Namespace) -> MetricsRegistry | NullRecorder:
+    """The recorder of one run: a registry when ``--metrics-out`` was given.
 
-    The same registry is installed as the global recorder (capturing the
-    pipeline's spans) *and* handed to the service as its statistics sink, so
-    the written snapshot carries spans, serving counters and batch histograms
-    together.
+    The command installs it with :func:`~repro.obs.use_recorder` around its
+    work, so the pipeline's spans, the service's counters and its batch
+    histograms all land in the one snapshot :func:`_write_metrics` writes.
+    Without ``--metrics-out`` it is the no-op recorder.
     """
-    return MetricsRegistry() if getattr(args, "metrics_out", None) else None
+    return MetricsRegistry() if getattr(args, "metrics_out", None) else NULL_RECORDER
 
 
-def _write_metrics(args: argparse.Namespace, metrics: MetricsRegistry | None) -> None:
-    if metrics is not None:
+def _write_metrics(args: argparse.Namespace, metrics: MetricsRegistry | NullRecorder) -> None:
+    if getattr(args, "metrics_out", None):
         path = metrics.write_json(args.metrics_out)
         print(f"wrote metrics snapshot to {path}")
 
 
 def _cmd_score_streaming(
-    args: argparse.Namespace, pipeline, metrics: MetricsRegistry | None = None
+    args: argparse.Namespace, pipeline, metrics: MetricsRegistry | NullRecorder
 ) -> int:
     """Chunked scoring: bounded memory, scored rows written as they stream."""
     source = _load_source(args, pipeline.vectorizer.schema)
-    service = RiskService(
-        pipeline, max_batch_size=args.batch_size, cache_size=args.cache_size,
-        metrics=metrics,
-    )
+    service = RiskService(pipeline, max_batch_size=args.batch_size, cache_size=args.cache_size)
     if args.repeat > 1:
         print("note: --repeat is ignored in streaming mode (one pass per run)")
     workers = _effective_workers(args, pipeline)
@@ -293,11 +289,10 @@ def _cmd_score_streaming(
     risk_scores: list[float] = []
     ground_truth: list[int] = []
     labeled = True
-    recording = use_recorder(metrics) if metrics is not None else nullcontext()
     try:
         # The service owns a worker pool in parallel mode; close it before the
         # interpreter exits so no process pool is left to atexit teardown.
-        with recording, service:
+        with use_recorder(metrics), service:
             for scored in service.score_source(
                 source, chunk_size=args.chunk_size, workers=args.workers
             ):
@@ -354,14 +349,10 @@ def _cmd_score(args: argparse.Namespace) -> int:
     if args.source:
         raise SystemExit("--source requires --chunk-size (pair sources are streamed)")
     workload = _load_workload(args, schema=pipeline.vectorizer.schema)
-    service = RiskService(
-        pipeline, max_batch_size=args.batch_size, cache_size=args.cache_size,
-        metrics=metrics,
-    )
+    service = RiskService(pipeline, max_batch_size=args.batch_size, cache_size=args.cache_size)
     workers = _effective_workers(args, pipeline)
-    recording = use_recorder(metrics) if metrics is not None else nullcontext()
     results = []
-    with recording, service:  # releases the multi-worker pool, if one was used
+    with use_recorder(metrics), service:  # releases the multi-worker pool, if one was used
         for _ in range(args.repeat):
             results = service.score_workload(workload, workers=args.workers)
 
@@ -447,12 +438,10 @@ def _cmd_block(args: argparse.Namespace) -> int:
     matches (when it has any) is tracked incrementally the same way.
     """
     from ..blocking.blockers import chunk_id_pairs
-    from ..obs import get_recorder
 
     corpus = _build_block_corpus(args)
     blocker = _build_block_blocker(args)
     metrics = _metrics_registry(args)
-    recording = use_recorder(metrics) if metrics is not None else nullcontext()
 
     output = Path(args.output)
     output.parent.mkdir(parents=True, exist_ok=True)
@@ -460,17 +449,16 @@ def _cmd_block(args: argparse.Namespace) -> int:
     waves = 0
     total_matches = 0
     found_matches = 0
-    with recording, output.open("w", newline="") as handle:
-        recorder = get_recorder()
+    with use_recorder(metrics), output.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(("left_id", "right_id"))
         for wave in corpus.waves():
             waves += 1
-            recorder.count("blocking.waves")
+            metrics.count("blocking.waves")
             remaining = set(wave.matches)
             total_matches += len(remaining)
             for chunk in chunk_id_pairs(blocker.iter_wave_candidates(wave), args.chunk_size):
-                recorder.count("blocking.candidates_emitted", len(chunk))
+                metrics.count("blocking.candidates_emitted", len(chunk))
                 writer.writerows(chunk)
                 candidates += len(chunk)
                 for pair in chunk:
@@ -547,14 +535,10 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     corpus = _build_block_corpus(args)
     policy = _resolve_policy_from_args(args, "attributes")
     metrics = _metrics_registry(args)
-    recording = use_recorder(metrics) if metrics is not None else nullcontext()
-    service = RiskService(
-        pipeline, max_batch_size=args.batch_size, cache_size=args.cache_size,
-        metrics=metrics,
-    )
+    service = RiskService(pipeline, max_batch_size=args.batch_size, cache_size=args.cache_size)
     log = EventLog(args.events) if args.events else EventLog()
     resolver = OnlineResolver(service, policy, event_log=log)
-    with recording, service:
+    with use_recorder(metrics), service:
         summary = resolver.resolve_corpus(corpus, max_waves=args.max_waves)
     state = resolver.state_dict()
     print(
@@ -625,11 +609,8 @@ def _cmd_http(args: argparse.Namespace) -> int:
         finally:
             await server.stop()
 
-    # Pipeline spans (vectorize/classify/...) recorded while serving land in
-    # the same registry the HTTP counters use, so /stats shows both.
     try:
-        with use_recorder(server.metrics):
-            asyncio.run(_serve())
+        asyncio.run(_serve())
     except KeyboardInterrupt:
         print("shutting down", flush=True)
     if args.metrics_out:

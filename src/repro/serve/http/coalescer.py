@@ -17,11 +17,13 @@ every pair in the batch.  A naive HTTP server would score each single-pair
 The batching *decision* logic lives in :class:`CoalescerCore`, a sans-IO
 state machine with an injectable clock — the unit tests drive it with a fake
 clock and never sleep.  :class:`MicroBatchCoalescer` wraps the core in
-asyncio: an event-driven flusher loop, scoring offloaded to a thread executor
-(so the event loop keeps accepting requests — and filling the next batch —
-while numpy works), per-item error isolation (a failing batch is retried
-pair-by-pair so one poisoned pair fails only its own future) and shutdown
-draining (``stop()`` scores everything still pending before returning).
+asyncio: an event-driven flusher loop, scoring offloaded to a worker thread
+with :func:`asyncio.to_thread` (so the event loop keeps accepting requests —
+and filling the next batch — while numpy works, and the scoring thread
+records into the flusher's :func:`~repro.obs.get_recorder`), per-item error
+isolation (a failing batch is retried pair-by-pair so one poisoned pair fails
+only its own future) and shutdown draining (``stop()`` scores everything
+still pending before returning).
 
 Because the scoring stack is batch-invariant by construction (the
 ``repro.numerics`` contract), coalescing never changes a single bit of any
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ...exceptions import ConfigurationError
-from ...obs import NULL_RECORDER
+from ...obs import get_recorder
 
 
 @dataclass
@@ -152,17 +154,16 @@ class MicroBatchCoalescer:
     ----------
     score_batch:
         Synchronous batch function ``list[item] -> list[result]`` (typically
-        ``service.score_pairs``); executed in ``executor`` so the event loop
-        stays free to accept — and coalesce — more requests meanwhile.
-    max_batch_size, max_linger, clock:
+        ``service.score_pairs``); run with :func:`asyncio.to_thread` so the
+        event loop stays free to accept — and coalesce — more requests
+        meanwhile.
+    max_batch_size, max_linger:
         Forwarded to :class:`CoalescerCore` (see there).
-    metrics:
-        A :class:`~repro.obs.MetricsRegistry` (or recorder) for coalescing
-        telemetry: batch fill / linger wait / queue depth histograms plus
-        batch and pair counters.  Defaults to the no-op recorder.
-    executor:
-        ``concurrent.futures`` executor for the scoring calls; ``None`` uses
-        the event loop's default thread pool.
+
+    Coalescing telemetry (batch fill / linger wait / queue depth histograms
+    plus batch and pair counters) goes to :func:`~repro.obs.get_recorder` in
+    the flusher task, which inherits the context of the first
+    :meth:`submit` that started it.
     """
 
     def __init__(
@@ -171,15 +172,10 @@ class MicroBatchCoalescer:
         *,
         max_batch_size: int = 32,
         max_linger: float = 0.002,
-        clock: Callable[[], float] = time.monotonic,
-        metrics: Any = None,
-        executor: Any = None,
     ) -> None:
         self._score_batch = score_batch
-        self._core = CoalescerCore(max_batch_size, max_linger, clock)
-        self._metrics = metrics if metrics is not None else NULL_RECORDER
+        self._core = CoalescerCore(max_batch_size, max_linger)
         self._names = _CoalescerMetricNames()
-        self._executor = executor
         self._wake: asyncio.Event | None = None
         self._task: asyncio.Task | None = None
         self._closed = False
@@ -250,25 +246,23 @@ class MicroBatchCoalescer:
 
     def _record_take(self, batch: TakenBatch) -> None:
         names = self._names
-        self._metrics.apply(
+        recorder = get_recorder()
+        recorder.apply(
             counters={names.batches: 1, names.pairs: len(batch)},
             observations={names.batch_fill: len(batch)},
         )
         # Per-entry observations (variable count) go separately; the batch
         # fill/counters above are the invariant-bearing pair.
         for wait in batch.linger_waits:
-            self._metrics.observe(names.linger_seconds, wait)
-        self._metrics.observe(names.queue_depth, batch.queue_depth_after)
+            recorder.observe(names.linger_seconds, wait)
+        recorder.observe(names.queue_depth, batch.queue_depth_after)
 
     async def _flush(self, batch: TakenBatch) -> None:
         if not batch.entries:
             return
-        loop = asyncio.get_running_loop()
         items = [entry.item for entry in batch.entries]
         try:
-            results = await loop.run_in_executor(
-                self._executor, self._score_batch, items
-            )
+            results = await asyncio.to_thread(self._score_batch, items)
         except Exception as exc:
             await self._flush_individually(batch, exc)
             return
@@ -290,23 +284,21 @@ class MicroBatchCoalescer:
         Single-item batches skip the retry — the batch error *is* the item's
         error.
         """
-        loop = asyncio.get_running_loop()
+        recorder = get_recorder()
         if len(batch.entries) == 1:
-            self._metrics.count(self._names.failed_items)
+            recorder.count(self._names.failed_items)
             self._resolve_error(batch.entries[0], batch_error)
             return
         for entry in batch.entries:
-            self._metrics.count(self._names.single_retries)
+            recorder.count(self._names.single_retries)
             try:
-                results = await loop.run_in_executor(
-                    self._executor, self._score_batch, [entry.item]
-                )
+                results = await asyncio.to_thread(self._score_batch, [entry.item])
                 if len(results) != 1:
                     raise RuntimeError(
                         f"score_batch returned {len(results)} results for 1 item"
                     )
             except Exception as exc:
-                self._metrics.count(self._names.failed_items)
+                recorder.count(self._names.failed_items)
                 self._resolve_error(entry, exc)
             else:
                 self._resolve(entry, results[0])

@@ -12,9 +12,9 @@ here invents behaviour:
 * ``/explain`` is :meth:`RiskService.explain_pairs` —
   :meth:`~repro.risk.model.PairRiskExplanation.to_dict` payloads, risk scores
   bit-identical to ``/score``;
-* ``/stats`` is the :mod:`repro.obs` snapshot (counters, gauges, histograms,
-  spans) next to the service's own consistent
-  :meth:`~repro.serve.service.ServiceStats.snapshot`;
+* ``/stats`` is the :mod:`repro.obs` snapshot of the server's recorder
+  (counters, gauges, histograms, spans) next to the active service's own
+  consistent :meth:`~repro.serve.service.ServiceStats.snapshot`;
 * ``/models/swap`` and ``/models/rollback`` drive the thread-safe
   :class:`~repro.serve.registry.ModelRegistry` hot-swap — in-flight batches
   keep their resolved service, the *next* batch sees the new version;
@@ -24,8 +24,10 @@ here invents behaviour:
   clusters they merged into, tail the audit log, revert a decision.
 
 Blocking work (scoring, explaining, loading a model directory from disk) runs
-in the event loop's executor so one slow request never stalls the accept
-loop.  Handlers return ``(status, payload)``; raising
+in a worker thread via :func:`asyncio.to_thread` so one slow request never
+stalls the accept loop; ``to_thread`` copies the handler's context, so that
+work records into the server's recorder like the handler itself.  Handlers
+return ``(status, payload)``; raising
 :class:`~repro.serve.http.protocol.HttpError` (or any
 :class:`~repro.exceptions.ReproError`, mapped to 400) produces a JSON error
 response.
@@ -35,12 +37,11 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING
 from urllib.parse import parse_qs
 
 from ...exceptions import DataError
-from ...obs import MetricsRegistry
+from ...obs import get_recorder
 from ..registry import ModelRegistry
 from ..service import RiskService
 from .protocol import HttpError, HttpRequest
@@ -53,12 +54,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class AppState:
-    """Everything handlers need: the registry, the coalescer, the metrics."""
+    """Everything handlers need: the model registry and the coalescer."""
 
     registry: ModelRegistry
     model_name: str
     coalescer: "MicroBatchCoalescer"
-    metrics: MetricsRegistry
     #: Knobs echoed by /healthz and /stats so operators can see the config.
     coalesce_batch_size: int = 0
     coalesce_linger_seconds: float = 0.0
@@ -73,11 +73,6 @@ class AppState:
 
     def schema(self):
         return self.service().pipeline.vectorizer.schema
-
-
-async def _in_executor(function, /, *args, **kwargs):
-    loop = asyncio.get_running_loop()
-    return await loop.run_in_executor(None, partial(function, *args, **kwargs))
 
 
 # ------------------------------------------------------------------ liveness
@@ -109,7 +104,7 @@ async def handle_score(state: AppState, request: HttpRequest) -> tuple[int, dict
         return 200, schemas.envelope(
             coalesced=True, result=schemas.scored_pair_payload(scored)
         )
-    scored_pairs = await _in_executor(state.service().score_pairs, pairs)
+    scored_pairs = await asyncio.to_thread(state.service().score_pairs, pairs)
     return 200, schemas.envelope(
         coalesced=False,
         results=[schemas.scored_pair_payload(scored) for scored in scored_pairs],
@@ -120,7 +115,7 @@ async def handle_explain(state: AppState, request: HttpRequest) -> tuple[int, di
     body = schemas.parse_json_body(request)
     pairs, _ = schemas.pairs_from_body(body, state.schema())
     top_rules = schemas.top_rules_from_body(body)
-    explanations = await _in_executor(
+    explanations = await asyncio.to_thread(
         state.service().explain_pairs, pairs, top_rules=top_rules
     )
     results = []
@@ -152,7 +147,7 @@ async def handle_resolve(state: AppState, request: HttpRequest) -> tuple[int, di
     for record in records:
         # One record at a time keeps the decision order identical to the
         # order the client posted (the audit log's determinism contract).
-        events.extend(await _in_executor(resolver.add_record, record))
+        events.extend(await asyncio.to_thread(resolver.add_record, record))
     return 200, schemas.envelope(
         records=len(records),
         events=[event.to_dict() for event in events],
@@ -197,7 +192,7 @@ async def handle_revert(state: AppState, request: HttpRequest) -> tuple[int, dic
     event_id = body.get("event_id")
     if not isinstance(event_id, str) or not event_id:
         raise HttpError(400, "'event_id' must be a non-empty string")
-    event = await _in_executor(resolver.revert, event_id)
+    event = await asyncio.to_thread(resolver.revert, event_id)
     return 200, schemas.envelope(
         event=event.to_dict(),
         clusters=resolver.state_dict(),
@@ -211,7 +206,7 @@ async def handle_stats(state: AppState, request: HttpRequest) -> tuple[int, dict
         model=state.model_name,
         active_version=state.registry.active_version(state.model_name),
         service=service.stats.snapshot(),
-        metrics=state.metrics.snapshot(),
+        metrics=get_recorder().snapshot(),
     )
 
 
@@ -229,7 +224,7 @@ async def handle_swap(state: AppState, request: HttpRequest) -> tuple[int, dict]
         if not isinstance(directory, str):
             raise HttpError(400, "'directory' must be a string path")
         # Loading reads manifest + npz from disk; keep it off the event loop.
-        registered = await _in_executor(
+        registered = await asyncio.to_thread(
             state.registry.load, model, directory, version=version
         )
     elif version is not None:

@@ -6,10 +6,14 @@ requests (keep-alive, so a load generator's persistent connections pay one
 TCP handshake), the :class:`~repro.serve.http.router.Router` dispatches to
 handlers, and every response is timed into per-endpoint request-latency
 histograms (``http.request_seconds.<route>``) and counters
-(``http.requests.<route>``, ``http.responses.<status class>``) on the shared
-:class:`~repro.obs.MetricsRegistry` — the same registry the coalescer and the
-:class:`~repro.serve.service.RiskService` record into, so ``GET /stats`` is
-one consistent picture of the whole process.
+(``http.requests.<route>``, ``http.responses.<status class>``) on the
+server's own :class:`~repro.obs.MetricsRegistry`.  The server installs that
+registry with :func:`~repro.obs.use_recorder` around each connection
+handler; the coalescer's flusher task and every ``asyncio.to_thread`` hop
+inherit it from there, so the coalescer, the
+:class:`~repro.serve.service.RiskService`, the pipeline's spans and the
+online resolver all record into it and ``GET /stats`` is one consistent
+picture of the whole server — however it was started.
 
 Two entry points:
 
@@ -29,13 +33,13 @@ import time
 from dataclasses import dataclass, field
 
 from ...exceptions import ConfigurationError, ReproError
-from ...obs import MetricsRegistry
+from ...obs import MetricsRegistry, use_recorder
 from ..registry import ModelRegistry
 from . import schemas
 from .coalescer import MicroBatchCoalescer
 from .handlers import AppState
 from .protocol import HttpError, read_request, render_response
-from .router import Router, default_router
+from .router import default_router
 
 
 @dataclass(frozen=True)
@@ -73,20 +77,18 @@ class RiskHTTPServer:
     Parameters
     ----------
     registry:
-        The :class:`ModelRegistry` holding the served models; its
-        ``service_options`` should route statistics into ``metrics`` so
-        ``/stats`` shows serving counters (``build_server`` wires this).
+        The :class:`ModelRegistry` holding the served models.
     model_name:
         The registry name single-model endpoints default to.
     config:
         Network + coalescing knobs (:class:`ServerConfig`).
-    metrics:
-        The process metrics registry; defaults to a fresh one.
     resolver:
         Optional :class:`~repro.online.OnlineResolver` behind the
         ``/resolve`` endpoint family; without one those endpoints 503.
-    clock:
-        Injectable monotonic clock for request timing (tests).
+
+    The server owns :attr:`metrics`, a fresh
+    :class:`~repro.obs.MetricsRegistry` that is the recorder of every
+    connection it serves (see the module docstring).
     """
 
     def __init__(
@@ -95,29 +97,23 @@ class RiskHTTPServer:
         model_name: str = "default",
         *,
         config: ServerConfig | None = None,
-        metrics: MetricsRegistry | None = None,
-        router: Router | None = None,
         resolver=None,
-        clock=time.perf_counter,
     ) -> None:
         self.config = config if config is not None else ServerConfig()
         self.config.validate()
         self.registry = registry
         self.model_name = model_name
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.router = router if router is not None else default_router()
-        self._clock = clock
+        self.metrics = MetricsRegistry()
+        self.router = default_router()
         self.coalescer = MicroBatchCoalescer(
             self._score_coalesced_batch,
             max_batch_size=self.config.coalesce_batch_size,
             max_linger=self.config.coalesce_linger_seconds,
-            metrics=self.metrics,
         )
         self.state = AppState(
             registry=registry,
             model_name=model_name,
             coalescer=self.coalescer,
-            metrics=self.metrics,
             coalesce_batch_size=self.config.coalesce_batch_size,
             coalesce_linger_seconds=self.config.coalesce_linger_seconds,
             resolver=resolver,
@@ -158,6 +154,15 @@ class RiskHTTPServer:
 
     # ------------------------------------------------------------ connections
     async def _on_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        # Each connection runs in its own task (its own context), so this
+        # installs the server's registry for the handlers, the coalescer task
+        # they start and every thread hop they make — and for nothing else.
+        with use_recorder(self.metrics):
+            await self._serve_connection(reader, writer)
+
+    async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
@@ -207,7 +212,7 @@ class RiskHTTPServer:
         })
 
     async def _dispatch(self, request) -> tuple[int, bytes]:
-        started = self._clock()
+        started = time.perf_counter()
         route_name = "unrouted"
         try:
             route, path_params = self.router.match(request.method, request.path)
@@ -224,7 +229,7 @@ class RiskHTTPServer:
             status, payload = 500, self._error_payload(
                 500, f"internal error: {type(exc).__name__}: {exc}"
             )
-        elapsed = self._clock() - started
+        elapsed = time.perf_counter() - started
         self.metrics.apply(
             counters={
                 "http.requests": 1,
@@ -241,15 +246,15 @@ def build_server(
     *,
     model_name: str = "default",
     config: ServerConfig | None = None,
-    metrics: MetricsRegistry | None = None,
     online_policy=None,
     events_path=None,
 ) -> RiskHTTPServer:
     """Load ``model_dir`` into a fresh registry and wrap it in a server.
 
-    The registry's services are built with the config's batch/cache options
-    and record into the server's metrics registry, so serving counters,
-    coalescing telemetry and request latencies all land in one snapshot.
+    The registry's services are built with the config's batch/cache options.
+    The server records serving counters, coalescing telemetry, pipeline spans
+    and request latencies into its own registry, so they all land in one
+    ``/stats`` snapshot.
 
     With an ``online_policy`` (a :class:`~repro.online.ResolutionPolicy`),
     the server also carries an :class:`~repro.online.OnlineResolver` behind
@@ -260,11 +265,9 @@ def build_server(
     the work of exactly one model.
     """
     config = config if config is not None else ServerConfig()
-    metrics = metrics if metrics is not None else MetricsRegistry()
     registry = ModelRegistry(
         max_batch_size=config.service_batch_size,
         cache_size=config.service_cache_size,
-        metrics=metrics,
     )
     registry.load(model_name, model_dir)
     resolver = None
@@ -275,11 +278,8 @@ def build_server(
             registry.service(model_name),
             online_policy,
             event_log=EventLog(events_path),
-            recorder=metrics,
         )
-    return RiskHTTPServer(
-        registry, model_name, config=config, metrics=metrics, resolver=resolver
-    )
+    return RiskHTTPServer(registry, model_name, config=config, resolver=resolver)
 
 
 @dataclass

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Any
 
 from ..exceptions import ConfigurationError
 from ..compose.staged import StagedPipeline
@@ -34,13 +33,15 @@ class ModelRegistry:
 
     Parameters
     ----------
-    service_options:
-        Keyword arguments (``max_batch_size``, ``cache_size``) forwarded to
-        every :class:`RiskService` the registry builds.
+    max_batch_size, cache_size:
+        Forwarded to every :class:`RiskService` the registry builds.  Each
+        service counts its own traffic in its private ``stats``; a
+        registry-wide view comes from the recorder installed with
+        :func:`repro.obs.use_recorder` around the scoring calls.
     """
 
-    def __init__(self, **service_options: Any) -> None:
-        self._service_options = dict(service_options)
+    def __init__(self, *, max_batch_size: int = 256, cache_size: int = 4096) -> None:
+        self._service_options = {"max_batch_size": max_batch_size, "cache_size": cache_size}
         self._lock = threading.RLock()
         self._models: dict[str, dict[int, StagedPipeline]] = {}
         self._active: dict[str, int] = {}

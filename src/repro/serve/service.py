@@ -52,7 +52,7 @@ from ..data.records import RecordPair
 from ..data.sources import PairSource, as_pair_source
 from ..data.workload import Workload
 from ..exceptions import ConfigurationError, NotFittedError
-from ..obs import MetricsRegistry
+from ..obs import MetricsRegistry, get_recorder
 from ..parallel.config import ExecutionConfig
 from ..risk.model import PairRiskExplanation
 
@@ -104,27 +104,33 @@ class PendingScore:
 
 
 class ServiceStats:
-    """Serving counters backed by a :class:`~repro.obs.MetricsRegistry`.
+    """Serving counters of one :class:`RiskService`.
 
-    The legacy attribute surface (``stats.cache_hits``, ``stats.snapshot()``
-    and friends) is unchanged, but the storage is now a metrics registry —
-    pass the registry the rest of the process records into (e.g. the one
-    installed with :func:`repro.obs.use_recorder`) and one JSON snapshot
-    carries the serving counters next to the pipeline's span timings.  All
+    The counters live in a private :class:`~repro.obs.MetricsRegistry`
+    owned by the stats object, so ``stats.cache_hits``, ``stats.snapshot()``
+    and friends describe this service alone (``GET /stats`` reports the
+    active model version's service, not the sum over every version).  Each
+    update is also applied to the ambient :func:`~repro.obs.get_recorder`,
+    so a run inside :func:`~repro.obs.use_recorder` carries the serving
+    counters next to the pipeline's span timings in one snapshot.  All
     counters live under the ``service.`` prefix; batch latencies additionally
     feed the ``service.batch_seconds`` histogram (p50/p95/p99 in the registry
     snapshot).
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+
+    def _apply(self, **updates) -> None:
+        # One atomic transaction per registry: a concurrent snapshot() sees
+        # either none or all of an update, so cross-counter invariants
+        # (pairs_scored == sum of batch sizes, batches == batch_size
+        # histogram count) hold in every snapshot, not just quiescent ones.
+        self.registry.apply(**updates)
+        get_recorder().apply(**updates)
 
     def record_batch(self, batch_size: int, seconds: float) -> None:
-        # One atomic transaction: a concurrent snapshot() sees either none or
-        # all of a batch's updates, so cross-counter invariants (pairs_scored
-        # == sum of batch sizes, batches == batch_size histogram count) hold
-        # in every snapshot, not just quiescent ones.
-        self.registry.apply(
+        self._apply(
             counters={
                 "service.pairs_scored": batch_size,
                 "service.batches": 1,
@@ -138,17 +144,15 @@ class ServiceStats:
         )
 
     def record_cache(self, hits: int, misses: int) -> None:
-        self.registry.apply(
-            counters={"service.cache_hits": hits, "service.cache_misses": misses}
-        )
+        self._apply(counters={"service.cache_hits": hits, "service.cache_misses": misses})
 
     def record_bypass(self, pairs: int) -> None:
         """Count pairs scored without consulting the cache (parallel passes)."""
-        self.registry.count("service.cache_bypassed", pairs)
+        self._apply(counters={"service.cache_bypassed": pairs})
 
     def record_corpus_entries(self, entries: int) -> None:
         """Track the vectoriser's corpus-index size as a gauge."""
-        self.registry.gauge("service.corpus_index_entries", entries)
+        self._apply(gauges={"service.corpus_index_entries": entries})
 
     @property
     def pairs_scored(self) -> int:
@@ -259,12 +263,11 @@ class RiskService:
     cache_size:
         Maximum number of metric vectors kept in the LRU vectorisation cache;
         0 disables caching.
-    metrics:
-        A :class:`~repro.obs.MetricsRegistry` the serving statistics record
-        into; defaults to a private registry.  Pass the registry installed as
-        the global recorder to get one combined snapshot (service counters
-        plus pipeline spans) — the serve CLI's ``--metrics-out`` does exactly
-        that.
+
+    :attr:`stats` counts this service's own traffic; the same updates also
+    go to the recorder installed with :func:`repro.obs.use_recorder`, which
+    is how the serve CLI's ``--metrics-out`` gets one combined snapshot
+    (service counters plus pipeline spans).
     """
 
     def __init__(
@@ -273,7 +276,6 @@ class RiskService:
         *,
         max_batch_size: int = 256,
         cache_size: int = 4096,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         if not pipeline.is_fitted:
             raise NotFittedError("RiskService requires a fitted pipeline")
@@ -284,7 +286,7 @@ class RiskService:
         self.pipeline = pipeline
         self.max_batch_size = max_batch_size
         self.cache_size = cache_size
-        self.stats = ServiceStats(metrics)
+        self.stats = ServiceStats()
         self._lock = threading.RLock()
         self._cache: OrderedDict[PairKey, np.ndarray] = OrderedDict()
         self._buffer: list[tuple[RecordPair, PendingScore]] = []

@@ -183,12 +183,19 @@ class TestServiceAccounting:
             "obs-service2", pairs, obs_split.test.left_table, obs_split.test.right_table
         )
         registry = MetricsRegistry()
-        service = RiskService(obs_pipeline, max_batch_size=8, metrics=registry)
-        service.score_workload(workload)
+        service = RiskService(obs_pipeline, max_batch_size=8)
+        with use_recorder(registry):
+            service.score_workload(workload)
         assert registry.counter_value("service.pairs_scored") == len(pairs)
         assert registry.counter_value("service.batches") == 3
         assert registry.histogram("service.batch_seconds").count == 3
         assert registry.gauge_value("service.largest_batch") == 8
-        # The legacy surface reads through to the same registry.
+        # The service's own stats count the same traffic in their private
+        # registry, which only this service writes.
         assert service.stats.pairs_scored == len(pairs)
         assert service.stats.snapshot()["batches"] == 3
+        assert service.stats.registry is not registry
+        # Traffic outside the block reaches only the private stats.
+        service.score_workload(workload)
+        assert service.stats.pairs_scored == 2 * len(pairs)
+        assert registry.counter_value("service.pairs_scored") == len(pairs)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import time
@@ -13,7 +14,6 @@ from repro.obs import (
     MetricsRegistry,
     NullRecorder,
     get_recorder,
-    set_recorder,
     use_recorder,
 )
 from repro.obs.registry import SNAPSHOT_VERSION
@@ -161,13 +161,58 @@ class TestGlobalRecorder:
                 raise RuntimeError("boom")
         assert get_recorder() is NULL_RECORDER
 
-    def test_set_recorder_none_restores_the_null_recorder(self):
-        registry = MetricsRegistry()
-        set_recorder(registry)
-        try:
-            assert get_recorder() is registry
-        finally:
-            set_recorder(None)
+
+class TestRecorderScope:
+    """``use_recorder`` is scoped per thread and per asyncio task."""
+
+    COUNTS = 1_000
+
+    def test_threads_and_tasks_each_record_only_into_their_own_registry(self):
+        # Two threads, both inside their own block before either records.
+        thread_registries = [MetricsRegistry(), MetricsRegistry()]
+        barrier = threading.Barrier(2, timeout=30)
+        seen: list[bool] = []
+
+        def thread_worker(registry: MetricsRegistry) -> None:
+            with use_recorder(registry):
+                barrier.wait()
+                for _ in range(self.COUNTS):
+                    get_recorder().count("ops")
+                barrier.wait()
+                seen.append(get_recorder() is registry)
+
+        pool = [
+            threading.Thread(target=thread_worker, args=(registry,))
+            for registry in thread_registries
+        ]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join()
+
+        # Two asyncio tasks on one loop, interleaving at every count.
+        task_registries = [MetricsRegistry(), MetricsRegistry()]
+
+        async def task_worker(registry: MetricsRegistry, entered: list) -> None:
+            with use_recorder(registry):
+                entered.append(registry)
+                while len(entered) < 2:
+                    await asyncio.sleep(0)
+                for _ in range(self.COUNTS):
+                    get_recorder().count("ops")
+                    await asyncio.sleep(0)
+                seen.append(get_recorder() is registry)
+
+        async def main() -> None:
+            entered: list = []
+            await asyncio.gather(*(task_worker(r, entered) for r in task_registries))
+            seen.append(get_recorder() is NULL_RECORDER)
+
+        asyncio.run(main())
+
+        assert seen == [True] * 5
+        for registry in thread_registries + task_registries:
+            assert registry.counter_value("ops") == self.COUNTS
         assert get_recorder() is NULL_RECORDER
 
 

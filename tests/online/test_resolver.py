@@ -24,6 +24,7 @@ import pytest
 from repro.classifiers.mlp import MLPClassifier
 from repro.data import split_workload
 from repro.exceptions import ConfigurationError, DataError
+from repro.obs import MetricsRegistry, use_recorder
 from repro.online import (
     EventLog,
     OnlineResolver,
@@ -285,3 +286,32 @@ def test_concurrent_resolve_and_event_reads(service, ds_workload):
     assert state_bytes(replay_events(resolver.events()).to_dict()) == state_bytes(
         resolver.state_dict()
     )
+
+
+def test_resolve_spans_nest_the_pipeline_and_cover_the_record(service, ds_workload):
+    # A fresh service: a warm cache would skip the vectorize span.
+    fresh = RiskService(service.pipeline)
+    policy = ResolutionPolicy(
+        attributes=("title", "authors"), merge_threshold=1.0, split_threshold=1.0
+    )
+    resolver = OnlineResolver(fresh, policy, event_log=EventLog())
+    registry = MetricsRegistry()
+    with use_recorder(registry):
+        for record in stream_records(ds_workload, per_side=30):
+            resolver.add_record(record)
+    spans = registry.snapshot()["spans"]
+    # The pipeline's own spans nest under the resolver's per-record children.
+    assert "online_resolve.score.vectorize" in spans
+    assert any(
+        path.startswith("online_resolve.") and path.endswith(".rule_kernel")
+        for path in spans
+    )
+    assert "online_resolve.decide.journal" in spans
+    # The direct children account for the record's time.
+    total = registry.span_seconds("online_resolve")
+    children = sum(
+        registry.span_seconds(f"online_resolve.{name}")
+        for name in ("candidates", "score", "explain", "decide")
+    )
+    assert total > 0.0
+    assert children >= 0.9 * total

@@ -15,7 +15,7 @@ import asyncio
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, use_recorder
 from repro.serve.http import CoalescerCore, MicroBatchCoalescer
 
 
@@ -123,14 +123,13 @@ class TestMicroBatchCoalescer:
         metrics = MetricsRegistry()
 
         async def scenario():
-            coalescer = MicroBatchCoalescer(
-                scorer, max_batch_size=4, max_linger=60.0, metrics=metrics
-            )
+            coalescer = MicroBatchCoalescer(scorer, max_batch_size=4, max_linger=60.0)
             results = await asyncio.gather(*(coalescer.submit(i) for i in range(4)))
             await coalescer.stop()
             return results
 
-        results = asyncio.run(scenario())
+        with use_recorder(metrics):
+            results = asyncio.run(scenario())
         assert results == [f"scored:{i}" for i in range(4)]
         # Fullness (not the 60s linger) flushed: exactly one shared batch.
         assert scorer.batches == [[0, 1, 2, 3]]
@@ -180,14 +179,13 @@ class TestMicroBatchCoalescer:
         metrics = MetricsRegistry()
 
         async def scenario():
-            coalescer = MicroBatchCoalescer(
-                scorer, max_batch_size=1, max_linger=60.0, metrics=metrics
-            )
+            coalescer = MicroBatchCoalescer(scorer, max_batch_size=1, max_linger=60.0)
             with pytest.raises(ValueError):
                 await coalescer.submit("bad")
             await coalescer.stop()
 
-        asyncio.run(scenario())
+        with use_recorder(metrics):
+            asyncio.run(scenario())
         assert scorer.batches == [["bad"]]  # no pointless single-item retry
         counters, _ = metrics.values()
         assert counters["coalesce.failed_items"] == 1

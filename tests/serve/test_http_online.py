@@ -22,7 +22,7 @@ from repro.pipeline import LearnRiskPipeline
 from repro.risk.onesided_tree import OneSidedTreeConfig
 from repro.risk.training import TrainingConfig
 from repro.serve import save_pipeline
-from repro.serve.http import ServerConfig, ServerHandle, build_server
+from repro.serve.http import ServerConfig, ServerHandle, build_server, pair_to_payload
 
 
 def _fit_pipeline(workload, seed=0):
@@ -230,6 +230,40 @@ class TestResolveEndpoints:
         assert status == 200
         counters = body["metrics"]["counters"]
         assert counters.get("online.records", 0) >= 1
+
+
+class TestServerSpans:
+    def test_stats_carry_pipeline_spans_from_every_request_path(
+        self, online_served, ds_workload
+    ):
+        policy = ResolutionPolicy(
+            attributes=("title", "authors"), merge_threshold=1.0, split_threshold=1.0
+        )
+        server = build_server(
+            online_served.model_dir, config=ServerConfig(port=0), online_policy=policy
+        )
+        pairs = list(ds_workload.pairs[:4])
+        with ServerHandle.spawn(server) as handle:
+            address = handle.address
+            # The coalescer path, the handler thread path, the resolver path.
+            status, _ = http_json(address, "POST", "/score",
+                                  {"pair": pair_to_payload(pairs[0])})
+            assert status == 200
+            status, _ = http_json(address, "POST", "/score",
+                                  {"pairs": [pair_to_payload(p) for p in pairs[1:]]})
+            assert status == 200
+            status, body = http_json(address, "POST", "/resolve", {"records": [
+                record_payload(1, "incremental entity resolution with risk"),
+                record_payload(2, "Incremental Entity Resolution with Risk"),
+            ]})
+            assert status == 200
+            assert body["events"], "the second record must have a candidate"
+            status, body = http_json(address, "GET", "/stats")
+        assert status == 200
+        metrics = body["metrics"]
+        for name in ("vectorize", "classify", "rule_kernel"):
+            assert metrics["span_totals"].get(name, 0.0) > 0.0, name
+        assert any(path.startswith("online_resolve.score.") for path in metrics["spans"])
 
 
 class TestWithoutResolver:

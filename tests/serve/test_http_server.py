@@ -293,6 +293,28 @@ class TestModelControl:
         assert status == 200
         assert body["results"] == [scored_payload_of(s) for s in direct_scores]
 
+    def test_stats_service_counts_only_the_active_version(self, served, probe_pairs):
+        # A dedicated server, so no other test's traffic is in its counters.
+        config = ServerConfig(port=0)
+        with ServerHandle.spawn(build_server(served.model_dir, config=config)) as handle:
+            first, second = probe_pairs[:5], probe_pairs[5:8]
+            status, _ = http_json(handle.address, "POST", "/score",
+                                  {"pairs": [pair_to_payload(p) for p in first]})
+            assert status == 200
+            status, _ = http_json(handle.address, "POST", "/models/swap",
+                                  {"directory": str(served.second_dir)})
+            assert status == 200
+            status, _ = http_json(handle.address, "POST", "/score",
+                                  {"pairs": [pair_to_payload(p) for p in second]})
+            assert status == 200
+            status, body = http_json(handle.address, "GET", "/stats")
+        assert status == 200
+        assert body["active_version"] == 2
+        # /stats.service is the active version's own service ...
+        assert body["service"]["pairs_scored"] == len(second)
+        # ... while the server's registry counts every version's traffic.
+        assert body["metrics"]["counters"]["service.pairs_scored"] == len(first) + len(second)
+
     def test_swap_by_version_activates_existing(self, served):
         status, body = http_json(
             served.address, "POST", "/models/swap", {"version": 2}

@@ -39,7 +39,7 @@ def _hammer(target, iterations=ITERATIONS, threads=WRITER_THREADS):
 
 
 def test_snapshot_never_sees_torn_batch_counters():
-    stats = ServiceStats(MetricsRegistry())
+    stats = ServiceStats()
 
     workers, _ = _hammer(lambda i: stats.record_batch(BATCH_SIZE, 1e-6))
 
@@ -62,7 +62,7 @@ def test_snapshot_never_sees_torn_batch_counters():
 
 
 def test_snapshot_never_sees_torn_cache_counters():
-    stats = ServiceStats(MetricsRegistry())
+    stats = ServiceStats()
 
     # Every call records 3 hits and 2 misses — any snapshot must keep the
     # 3:2 ratio exactly, or the read tore between the two counters.

@@ -5,8 +5,8 @@ changing a single output bit.  This benchmark measures both halves of that
 claim on one workload:
 
 * **throughput** — ``StagedPipeline.analyse_batches`` over a fixed pair
-  stream, once per worker count of the grid (default 1, 2, 4), process
-  backend, deterministic ordered merge included;
+  stream, once per worker count of the grid (default 1, 2, 4; a process
+  pool above one worker), deterministic ordered merge included;
 * **determinism** — every worker count's concatenated risk scores are
   compared bitwise against the single-worker reference; a single differing
   ulp fails the run.
@@ -19,8 +19,9 @@ qualify every number.  Each grid pass runs under a
 chunk timings and pipeline-rebuild costs straight from the engine's own merge
 telemetry.
 The ``--smoke`` CI mode asserts the determinism contract unconditionally
-(thread and process backends, uneven chunks) and asserts the ≥2x speedup at
-4 workers only where ≥4 cores are actually available, recording
+(process pools of 2 and 4 workers, uneven chunks, the service path) and
+asserts the ≥2x speedup at 4 workers only where ≥4 cores are actually
+available, recording
 ``speedup_check: "skipped (N cores)"`` otherwise.
 
 Run directly (``python benchmarks/bench_parallel_scoring.py``), at a custom
@@ -120,7 +121,6 @@ def run_grid(
     workload: Workload,
     workers_grid: list[int],
     chunk_size: int,
-    backend: str,
     start_method: str | None,
 ) -> dict:
     """Time every worker count on the same stream; verify bitwise parity."""
@@ -128,10 +128,7 @@ def run_grid(
     reference: np.ndarray | None = None
     baseline_seconds: float | None = None
     for workers in workers_grid:
-        execution = ExecutionConfig(
-            workers=workers, backend=backend if workers > 1 else "serial",
-            start_method=start_method,
-        )
+        execution = ExecutionConfig(workers=workers, start_method=start_method)
         registry = MetricsRegistry()
         with use_recorder(registry), Stopwatch() as watch:
             scores = np.concatenate([
@@ -170,20 +167,19 @@ def run_smoke(args: argparse.Namespace) -> dict:
     ])
 
     checks: dict = {}
-    # Parity across backends, worker counts and uneven chunkings — always on.
-    for backend in ("thread", "process"):
-        for workers in (2, 4):
-            for chunk in (args.chunk_size, 1 + args.chunk_size // 3):
-                execution = ExecutionConfig(workers=workers, backend=backend)
-                scores = np.concatenate([
-                    report.risk_scores
-                    for report in pipeline.analyse_batches(
-                        workload, batch_size=chunk, execution=execution
-                    )
-                ])
-                key = f"{backend}-w{workers}-c{chunk}"
-                checks[key] = bool(np.array_equal(scores, serial))
-                assert checks[key], f"smoke parity failed: {key}"
+    # Parity across worker counts and uneven chunkings — always on.
+    for workers in (2, 4):
+        for chunk in (args.chunk_size, 1 + args.chunk_size // 3):
+            execution = ExecutionConfig(workers=workers)
+            scores = np.concatenate([
+                report.risk_scores
+                for report in pipeline.analyse_batches(
+                    workload, batch_size=chunk, execution=execution
+                )
+            ])
+            key = f"process-w{workers}-c{chunk}"
+            checks[key] = bool(np.array_equal(scores, serial))
+            assert checks[key], f"smoke parity failed: {key}"
     # CLI path parity: the source streamed through the service must match too.
     source = InMemorySource(workload, name="smoke")
     from repro.serve import RiskService
@@ -193,7 +189,7 @@ def run_smoke(args: argparse.Namespace) -> dict:
         scored.risk_score
         for scored in service.score_source(
             source, chunk_size=args.chunk_size,
-            execution=ExecutionConfig(workers=2, backend="process"),
+            execution=ExecutionConfig(workers=2),
         )
     ]
     checks["service-process-w2"] = bool(np.array_equal(np.asarray(parallel_rows), serial))
@@ -207,8 +203,7 @@ def run_smoke(args: argparse.Namespace) -> dict:
         speedup = 0.0
         for _ in range(2):
             grid = run_grid(
-                pipeline, timing_workload, [1, 4],
-                args.chunk_size, "process", args.start_method,
+                pipeline, timing_workload, [1, 4], args.chunk_size, args.start_method,
             )
             speedup = max(speedup, grid["4"]["speedup_vs_workers_1"])
             if speedup >= 2.0:
@@ -233,8 +228,7 @@ def run_full(args: argparse.Namespace) -> dict:
     pipeline, split = build_fitted_pipeline(scale=args.scale)
     workload = scoring_workload(split, args.pairs)
     grid = run_grid(
-        pipeline, workload, args.workers_grid, args.chunk_size,
-        args.backend, args.start_method,
+        pipeline, workload, args.workers_grid, args.chunk_size, args.start_method
     )
     return {
         "benchmark": "parallel_scoring",
@@ -242,7 +236,6 @@ def run_full(args: argparse.Namespace) -> dict:
         "dataset": "DS (seeded resample)",
         "n_pairs": len(workload),
         "chunk_size": args.chunk_size,
-        "backend": args.backend,
         "start_method": resolved_start_method(args.start_method),
         "cpu_count": available_cores(),
         "workers": grid,
@@ -262,7 +255,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers-grid", type=_parse_grid, default=[1, 2, 4],
                         help="comma-separated worker counts (default 1,2,4)")
     parser.add_argument("--chunk-size", type=int, default=512)
-    parser.add_argument("--backend", choices=("process", "thread"), default="process")
     parser.add_argument("--start-method", choices=("fork", "spawn", "forkserver"),
                         default=None)
     parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,

@@ -8,7 +8,7 @@ classifier and triage its output.  This example shows the full serving loop:
 2. reload it — as a fresh process would — and verify the reloaded model
    reproduces the in-process risk scores exactly;
 3. wrap it in a :class:`repro.serve.RiskService` and score traffic two ways:
-   immediate micro-batched scoring and the ``submit()`` buffer;
+   a whole workload in micro-batches and a stream pulled from a pair source;
 4. hot-swap a second model version through a :class:`repro.serve.ModelRegistry`
    without interrupting lookups;
 5. print the serving statistics (throughput, cache hit-rate, batch sizes).
@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import LearnRiskPipeline, load_dataset, split_workload
+from repro.data.sources import InMemorySource
 from repro.serve import ModelRegistry, RiskService, load_pipeline, save_pipeline
 
 
@@ -58,11 +59,10 @@ def main() -> None:
         print(f"  scored {len(scored)} pairs; riskiest pair {riskiest.pair.pair_id} "
               f"(machine label {riskiest.machine_label}, risk {riskiest.risk_score:.3f})")
 
-        # Streaming usage: submit() buffers pairs and flushes full batches.
-        pending = [service.submit(pair) for pair in split.test.pairs[:10]]
-        service.flush()
-        print(f"  streamed 10 pairs through submit(); first risk score "
-              f"{pending[0].result().risk_score:.3f}")
+        # Streaming usage: pull pairs from a source chunk by chunk.
+        streamed = list(service.score_source(InMemorySource(split.test.pairs[:10])))
+        print(f"  streamed 10 pairs through score_source(); first risk score "
+              f"{streamed[0].risk_score:.3f}")
 
         # Re-scoring the same traffic hits the vectorisation cache.
         service.score_workload(split.test)

@@ -165,7 +165,8 @@ class PipelineSpec:
     execution:
         Optional :class:`~repro.parallel.config.ExecutionConfig` (or its
         ``to_dict`` mapping) with the default multi-worker scoring setup —
-        worker count, pool backend, chunk size.  Purely a throughput knob:
+        worker count (``> 1`` scores on a process pool), chunk size, process
+        start method.  Purely a throughput knob:
         scores are bit-identical at any worker count, so the field never
         changes *what* a pipeline computes, only how fast.
     online:

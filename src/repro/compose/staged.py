@@ -315,10 +315,10 @@ class StagedPipeline:
         """Score one chunk of pairs: the shared unit of serial *and* parallel work.
 
         This is the exact computation a pool worker runs on its shard — the
-        serial streaming loop, the thread backend and the process backend all
-        call this one method (on the parent pipeline or on a state-identical
-        clone), which is what makes multi-worker output structurally
-        bit-identical to the serial path.
+        serial loop and the process-pool workers both call this one method
+        (on the parent pipeline or on a state-identical clone), which is what
+        makes multi-worker output structurally bit-identical to the serial
+        path.
         """
         self._check_fitted()
         recorder = get_recorder()
@@ -367,12 +367,6 @@ class StagedPipeline:
             explanations=dict(scores.explanations),
         )
 
-    def _report(
-        self, pairs: list[RecordPair], explain_top: int = 0
-    ) -> RiskReport:
-        """Score ``pairs`` and assemble a :class:`RiskReport`."""
-        return self._report_from_scores(pairs, self.score_chunk(pairs, explain_top=explain_top))
-
     def analyse(self, workload: Workload | PairSource, explain_top: int = 0) -> RiskReport:
         """Label ``workload`` and rank its pairs by mislabeling risk.
 
@@ -384,7 +378,8 @@ class StagedPipeline:
         out-of-core.
         """
         self._check_fitted()
-        return self._report(list(as_workload(workload).pairs), explain_top=explain_top)
+        pairs = list(as_workload(workload).pairs)
+        return self._report_from_scores(pairs, self.score_chunk(pairs, explain_top=explain_top))
 
     def warm_kernel(self) -> None:
         """Compile the rule-coverage kernel now (explicit warm-up).
@@ -408,24 +403,6 @@ class StagedPipeline:
             config = self.execution or ExecutionConfig()
         return config.with_workers(workers)
 
-    @staticmethod
-    def _length_hint(workload: Workload | PairSource) -> int | None:
-        """Total pairs when cheaply known (steers auto backend choice only).
-
-        Never materialises anything: sources and lazy source-backed workload
-        views answer from their length *metadata* (``None`` when unknown or
-        unbounded) — ``len()`` on a lazy view would fall back to loading
-        every pair, which is exactly what the streaming stack must not do.
-        """
-        if isinstance(workload, PairSource):
-            return workload.length
-        if isinstance(workload, Workload) and not workload.is_materialized:
-            return workload.source.length if workload.source is not None else None
-        try:
-            return len(workload)
-        except TypeError:
-            return None
-
     def analyse_batches(
         self,
         workload: Workload | PairSource,
@@ -443,8 +420,9 @@ class StagedPipeline:
         are never fully materialised.  Rankings, AUROC and explanations are
         per-chunk.
 
-        ``workers`` / ``execution`` fan the chunks out to a worker pool
-        through :class:`~repro.parallel.engine.ParallelScoringEngine`; the
+        Chunks are scored through
+        :class:`~repro.parallel.engine.ParallelScoringEngine`: serially for
+        one worker, on a process pool for ``workers > 1``; the
         spec's ``execution`` field supplies the default configuration.
         Reports come back **in source order** and bit-identical to the serial
         path at any worker count and chunk size.  ``batch_size=None`` takes
@@ -456,25 +434,13 @@ class StagedPipeline:
             batch_size = config.resolve_chunk_size(1024)
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        # Only worth looking up when a pool is actually possible; with one
-        # worker the backend is serial whatever the length says.
-        length_hint = None if config.workers <= 1 else self._length_hint(workload)
-        if config.resolve_backend(length_hint) == "serial":
-            self.warm_kernel()
-            for chunk in workload.iter_chunks(batch_size):
-                if not chunk:  # defensive: custom sources may emit empty chunks
-                    continue
-                yield self._report(chunk, explain_top=explain_top)
-            return
         # Imported lazily: repro.parallel.engine rebuilds pipelines through
         # this module, so the import must not be circular at module level.
         from ..parallel.engine import ParallelScoringEngine
 
         with ParallelScoringEngine(self, config) as engine:
             for chunk, scores in engine.map_chunks(
-                workload.iter_chunks(batch_size),
-                explain_top=explain_top,
-                length_hint=length_hint,
+                workload.iter_chunks(batch_size), explain_top=explain_top
             ):
                 yield self._report_from_scores(chunk, scores)
 

@@ -618,9 +618,10 @@ def run_parallel_scaling_experiment(
     ``workers_grid`` (chunked at ``chunk_size``), asserting along the way that
     every worker count reproduces the single-worker risk scores **bit for
     bit** — the determinism contract of :mod:`repro.parallel` measured, not
-    assumed.  ``execution`` optionally overrides the pool configuration
-    (backend, start method, window) for the whole grid; the per-run worker
-    count always comes from the grid.
+    assumed.  Every entry above one worker scores on a process pool.
+    ``execution`` optionally overrides the pool configuration (the process
+    start method) for the whole grid; the per-run worker count always comes
+    from the grid.
 
     Returns a JSON-friendly dict::
 

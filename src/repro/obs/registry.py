@@ -26,8 +26,9 @@ thread and per asyncio task: two threads (or tasks) inside their own
 ``use_recorder`` blocks never see each other's registry, and leaving the
 block restores whatever the context had before.  Work moved to another
 thread carries the caller's recorder only when its context is carried along
-— ``asyncio.to_thread`` does so, and the parallel engine's thread backend
-runs each chunk in a copy of the submitting context.  Only the owner of a
+— ``asyncio.to_thread`` does so.  Process-pool workers of the parallel
+engine record into nothing of the caller's; the engine records their chunk
+telemetry on the submitting side as results arrive.  Only the owner of a
 registry (a benchmark, the CLI, the HTTP server) holds a reference to it; no
 library object is handed one to record into.
 

@@ -198,11 +198,20 @@ class EventLog:
             return list(self._events[since:])
 
     def event(self, event_id: str) -> ResolutionEvent:
-        """Look one event up by id."""
+        """Look one event up by id.
+
+        Constant time: sequences are contiguous from 1 (:meth:`append`
+        assigns them, the loader checks them), so the id's sequence is its
+        position.  Ids that do not round-trip through the id format (e.g.
+        ``"evt-1"``) name no event.
+        """
+        try:
+            sequence = int(event_id.removeprefix("evt-"))
+        except ValueError:
+            sequence = 0
         with self._lock:
-            for event in self._events:
-                if event.event_id == event_id:
-                    return event
+            if 1 <= sequence <= len(self._events) and _event_id(sequence) == event_id:
+                return self._events[sequence - 1]
         raise DataError(f"unknown event id {event_id!r}")
 
     def reverted_event_ids(self) -> set[str]:

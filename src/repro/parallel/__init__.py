@@ -1,11 +1,11 @@
 """Multi-worker sharded scoring (`repro.parallel`).
 
 The execution subsystem of the stack: :class:`ExecutionConfig` describes *how*
-scoring work is fanned out (worker count, pool backend, chunk size, in-flight
-window), :class:`ParallelScoringEngine` does the fanning — process pool for
-throughput, thread pool for small batches, serial fallback — and merges the
-per-chunk :class:`ChunkScores` back **in deterministic source order**, bit-
-identical to the serial path at any worker count and chunk size.
+scoring work is fanned out (worker count, chunk size, process start method),
+:class:`ParallelScoringEngine` does the fanning — a process pool when
+``workers > 1``, the serial loop otherwise — and merges the per-chunk
+:class:`ChunkScores` back **in deterministic source order**, bit-identical to
+the serial path at any worker count and chunk size.
 
 Entry points higher up the stack accept the same knobs directly:
 
@@ -19,12 +19,10 @@ See ``benchmarks/bench_parallel_scoring.py`` for the measured scaling and
 """
 
 from .chunks import ChunkScores
-from .config import BACKENDS, DEFAULT_MIN_PROCESS_PAIRS, START_METHODS, ExecutionConfig
+from .config import START_METHODS, ExecutionConfig
 from .engine import ParallelScoringEngine
 
 __all__ = [
-    "BACKENDS",
-    "DEFAULT_MIN_PROCESS_PAIRS",
     "START_METHODS",
     "ChunkScores",
     "ExecutionConfig",

@@ -24,24 +24,22 @@ where the determinism contract lives:
 * **Same failure.**  An exception in any worker propagates to the consumer at
   the failed chunk's position in the stream.
 
-Backends: a :class:`~concurrent.futures.ProcessPoolExecutor` for throughput
-(each worker process initialises its pipeline once and keeps its rule kernel
-warm), a :class:`~concurrent.futures.ThreadPoolExecutor` for small batches
-where process startup would dominate (each thread lazily builds its own
-pipeline clone, so no mutable state is ever shared), and a serial fallback
-that scores with the parent pipeline directly.
+One pool kind: ``workers > 1`` scores on a
+:class:`~concurrent.futures.ProcessPoolExecutor` (each worker process
+initialises its pipeline once and keeps its rule kernel warm); ``workers ==
+1`` is the serial loop, which scores with the parent pipeline directly and
+builds no pool at all.
 """
 
 from __future__ import annotations
 
-import contextvars
 import dataclasses
+import multiprocessing
 import os
-import threading
 import time
 from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from concurrent.futures import Future, ProcessPoolExecutor
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..data.records import RecordPair
 from ..exceptions import ConfigurationError, NotFittedError
@@ -54,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (compose imports us)
 
 
 # ------------------------------------------------------------ worker side
-#: The per-process pipeline of a process-pool worker, rebuilt once by
+#: The per-process pipeline of a pool worker, rebuilt once by
 #: :func:`_initialize_process_worker` and reused for every chunk the worker
 #: scores.  Module-global because process pools can only reach workers through
 #: module-level functions.
@@ -66,26 +64,20 @@ _WORKER_PIPELINE: "StagedPipeline | None" = None
 _WORKER_REBUILD_SECONDS: float = 0.0
 
 
-def _pipeline_from_state(state: dict) -> "StagedPipeline":
-    """Rebuild a scoring pipeline from its picklable state and warm it up."""
+def _initialize_process_worker(state: dict) -> None:
+    """Process-pool initializer: build this worker's pipeline exactly once."""
+    global _WORKER_PIPELINE, _WORKER_REBUILD_SECONDS
     # Imported here, not at module level: repro.compose imports repro.parallel
     # for the ExecutionConfig spec field, so the reverse import must be lazy.
     from ..compose.staged import StagedPipeline
 
-    pipeline = StagedPipeline.from_state(state)
+    start = time.perf_counter()
+    _WORKER_PIPELINE = StagedPipeline.from_state(state)
     # Explicit warm-up: the rule kernel is a lazy cache that is deliberately
     # dropped from pickled state (see GeneratedRiskFeatures.__getstate__);
     # compiling it here means the first chunk pays no build cost and no lazy
     # state is ever populated mid-scoring.
-    pipeline.warm_kernel()
-    return pipeline
-
-
-def _initialize_process_worker(state: dict) -> None:
-    """Process-pool initializer: build this worker's pipeline exactly once."""
-    global _WORKER_PIPELINE, _WORKER_REBUILD_SECONDS
-    start = time.perf_counter()
-    _WORKER_PIPELINE = _pipeline_from_state(state)
+    _WORKER_PIPELINE.warm_kernel()
     _WORKER_REBUILD_SECONDS = time.perf_counter() - start
 
 
@@ -105,13 +97,6 @@ def _score_chunk_in_process(pairs: list[RecordPair], explain_top: int) -> ChunkS
     )
 
 
-class _ThreadWorkerPipelines(threading.local):
-    """One lazily-built pipeline clone per pool thread (never shared)."""
-
-    pipeline: "StagedPipeline | None" = None
-    rebuild_seconds: float = 0.0
-
-
 # ------------------------------------------------------------ parent side
 class ParallelScoringEngine:
     """Deterministically ordered fan-out scoring over a worker pool.
@@ -120,14 +105,16 @@ class ParallelScoringEngine:
     ----------
     pipeline:
         A fitted :class:`~repro.compose.staged.StagedPipeline` (or facade
-        subclass).  The engine snapshots its picklable state at construction;
-        later mutations of the parent pipeline do not reach the workers.
+        subclass).  The engine snapshots its picklable state when it starts
+        its pool; later mutations of the parent pipeline do not reach the
+        workers.
     config:
         The :class:`ExecutionConfig` describing the pool.
 
-    The engine is a context manager; the pool (if any) is created lazily on
-    first use and shut down by :meth:`close` / ``__exit__``.  One engine can
-    run :meth:`map_chunks` any number of times and reuses its warmed workers.
+    The engine is a context manager; the pool (only for ``workers > 1``) is
+    created lazily on first use and shut down by :meth:`close` /
+    ``__exit__``.  One engine can run :meth:`map_chunks` any number of times
+    and reuses its warmed workers.
     """
 
     def __init__(self, pipeline: "StagedPipeline", config: ExecutionConfig) -> None:
@@ -135,10 +122,7 @@ class ParallelScoringEngine:
             raise NotFittedError("ParallelScoringEngine requires a fitted pipeline")
         self.pipeline = pipeline
         self.config = config
-        self._state: dict | None = None
-        self._executor: Executor | None = None
-        self._executor_backend: str | None = None
-        self._thread_pipelines = _ThreadWorkerPipelines()
+        self._executor: ProcessPoolExecutor | None = None
         self._closed = False
 
     # ------------------------------------------------------------- lifecycle
@@ -153,104 +137,42 @@ class ParallelScoringEngine:
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
-            self._executor_backend = None
         self._closed = True
 
-    # ------------------------------------------------------------- internals
-    def _pipeline_state(self) -> dict:
-        """The parent pipeline's picklable state, snapshotted once per engine."""
-        if self._state is None:
-            self._state = self.pipeline.to_state()
-        return self._state
-
-    def _score_in_thread(self, pairs: list[RecordPair], explain_top: int) -> ChunkScores:
-        """Score one chunk with this thread's private pipeline clone."""
-        local = self._thread_pipelines
-        if local.pipeline is None:
-            build_start = time.perf_counter()
-            local.pipeline = _pipeline_from_state(self._pipeline_state())
-            local.rebuild_seconds = time.perf_counter() - build_start
-        start = time.perf_counter()
-        scores = local.pipeline.score_chunk(pairs, explain_top=explain_top)
-        elapsed = time.perf_counter() - start
-        rebuild, local.rebuild_seconds = local.rebuild_seconds, 0.0
-        return dataclasses.replace(
-            scores,
-            worker=threading.current_thread().name,
-            worker_seconds=elapsed,
-            rebuild_seconds=rebuild,
-        )
-
-    def _get_executor(self, backend: str) -> Executor:
+    def _get_executor(self) -> ProcessPoolExecutor:
         if self._closed:
             raise ConfigurationError("ParallelScoringEngine is closed")
-        if self._executor is not None and self._executor_backend != backend:
-            # The resolved backend changed between map_chunks calls (e.g. a
-            # small bounded source after an unbounded one); rebuild the pool.
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
         if self._executor is None:
-            if backend == "thread":
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.config.workers,
-                    thread_name_prefix="repro-score",
-                )
-            elif backend == "process":
-                import multiprocessing
-
-                context = (
-                    multiprocessing.get_context(self.config.start_method)
-                    if self.config.start_method is not None
-                    else multiprocessing.get_context()
-                )
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.config.workers,
-                    mp_context=context,
-                    initializer=_initialize_process_worker,
-                    initargs=(self._pipeline_state(),),
-                )
-            else:  # pragma: no cover - guarded by resolve_backend
-                raise ConfigurationError(f"cannot build a pool for backend {backend!r}")
-            self._executor_backend = backend
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.config.workers,
+                mp_context=multiprocessing.get_context(self.config.start_method),
+                initializer=_initialize_process_worker,
+                initargs=(self.pipeline.to_state(),),
+            )
         return self._executor
 
     # --------------------------------------------------------------- scoring
     def map_chunks(
-        self,
-        chunks: Iterable[list[RecordPair]],
-        explain_top: int = 0,
-        length_hint: int | None = None,
+        self, chunks: Iterable[list[RecordPair]], explain_top: int = 0
     ) -> Iterator[tuple[list[RecordPair], ChunkScores]]:
-        """Score ``chunks`` on the pool; yield ``(chunk, scores)`` in source order.
+        """Score ``chunks``; yield ``(chunk, scores)`` in source order.
 
-        Empty chunks (legal for custom sources) are skipped, exactly like the
-        serial streaming loop.  ``length_hint`` (total pairs, when known)
-        only steers the ``auto`` backend's process-vs-thread choice — never
-        the numbers.
+        ``workers == 1`` scores each chunk with the parent pipeline in the
+        calling thread; ``workers > 1`` fans the chunks out to the process
+        pool.  Empty chunks (legal for custom sources) are skipped either way.
         """
-        backend = self.config.resolve_backend(length_hint)
-        if backend == "serial":
+        if self.config.workers <= 1:
+            self.pipeline.warm_kernel()
             for chunk in chunks:
-                if not chunk:
-                    continue
-                yield chunk, self.pipeline.score_chunk(chunk, explain_top=explain_top)
+                if chunk:
+                    yield chunk, self.pipeline.score_chunk(chunk, explain_top=explain_top)
             return
 
-        executor = self._get_executor(backend)
-        if backend == "thread":
-            # Each chunk runs in its own copy of the caller's context, so the
-            # worker records into the caller's recorder; one Context cannot
-            # be entered by two threads at once, hence a fresh copy per chunk.
-            submit = lambda chunk: executor.submit(  # noqa: E731
-                contextvars.copy_context().run, self._score_in_thread, chunk, explain_top
-            )
-        else:
-            submit = lambda chunk: executor.submit(_score_chunk_in_process, chunk, explain_top)  # noqa: E731
-
+        executor = self._get_executor()
         # In-order merge with bounded look-ahead: futures are awaited in
         # submission order (so completion order cannot reorder anything) and
         # at most `window` chunks are in flight, which bounds parent memory.
-        pending: deque[tuple[list[RecordPair], Any]] = deque()
+        pending: deque[tuple[list[RecordPair], Future]] = deque()
         recorder = get_recorder()
         window = self.config.window
 
@@ -265,16 +187,13 @@ class ParallelScoringEngine:
             recorder.observe("parallel.window_occupancy", in_flight / window)
             recorder.count("parallel.chunks")
             recorder.count("parallel.pairs", len(ready_chunk))
-            if scores.worker_seconds:
-                recorder.observe("parallel.worker_chunk_seconds", scores.worker_seconds)
-                if scores.worker:
-                    # One histogram per worker (bounded by pool size): makes
-                    # load imbalance visible in the snapshot and gives the
-                    # benchmarks their per-worker chunk timings.
-                    recorder.observe(
-                        f"parallel.worker.{scores.worker}.chunk_seconds",
-                        scores.worker_seconds,
-                    )
+            recorder.observe("parallel.worker_chunk_seconds", scores.worker_seconds)
+            # One histogram per worker (bounded by pool size): makes load
+            # imbalance visible in the snapshot and gives the benchmarks
+            # their per-worker chunk timings.
+            recorder.observe(
+                f"parallel.worker.{scores.worker}.chunk_seconds", scores.worker_seconds
+            )
             if scores.rebuild_seconds:
                 recorder.observe("parallel.worker_rebuild_seconds", scores.rebuild_seconds)
             return ready_chunk, scores
@@ -283,7 +202,9 @@ class ParallelScoringEngine:
             for chunk in chunks:
                 if not chunk:
                     continue
-                pending.append((chunk, submit(chunk)))
+                pending.append(
+                    (chunk, executor.submit(_score_chunk_in_process, chunk, explain_top))
+                )
                 if len(pending) >= window:
                     yield drain_head()
             while pending:
@@ -291,13 +212,3 @@ class ParallelScoringEngine:
         finally:
             for _, future in pending:
                 future.cancel()
-
-    def score_stream(
-        self,
-        chunks: Iterable[list[RecordPair]],
-        explain_top: int = 0,
-        length_hint: int | None = None,
-    ) -> Iterator[ChunkScores]:
-        """Like :meth:`map_chunks` but yielding only the scores."""
-        for _, scores in self.map_chunks(chunks, explain_top=explain_top, length_hint=length_hint):
-            yield scores

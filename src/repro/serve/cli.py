@@ -33,7 +33,7 @@ The subcommands cover the model lifecycle:
     directory; ``--source spec.json`` streams from any registered pair
     source instead — e.g. a ``"blocked"`` source that generates candidates
     from raw tables on the fly).  ``--workers N`` shards the chunks over a
-    worker pool (:mod:`repro.parallel`): rows still come out in exact source
+    process pool (:mod:`repro.parallel`): rows still come out in exact source
     order with bit-identical numbers, just faster on multi-core machines.
 ``inspect``
     Print a saved model's manifest and risk-model summary without scoring.
@@ -263,7 +263,7 @@ def _write_metrics(args: argparse.Namespace, metrics: MetricsRegistry | NullReco
         print(f"wrote metrics snapshot to {path}")
 
 
-def _cmd_score_streaming(
+def _cmd_score_chunked(
     args: argparse.Namespace, pipeline, metrics: MetricsRegistry | NullRecorder
 ) -> int:
     """Chunked scoring: bounded memory, scored rows written as they stream."""
@@ -343,7 +343,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     pipeline = load_pipeline(args.model)
     metrics = _metrics_registry(args)
     if args.chunk_size:
-        return _cmd_score_streaming(args, pipeline, metrics)
+        return _cmd_score_chunked(args, pipeline, metrics)
     if args.input:
         raise SystemExit("--input requires --chunk-size (it selects the streamed pair file)")
     if args.source:
@@ -785,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "generates candidates from raw tables (requires "
                             "--chunk-size)")
     score.add_argument("--workers", type=_positive_int, default=None,
-                       help="score with this many pool workers (sharded, deterministic "
+                       help="score with this many worker processes (sharded, deterministic "
                             "order, bit-identical output; default: the model spec's "
                             "execution config, else 1)")
     score.add_argument("--metrics-out",

@@ -5,12 +5,8 @@
 and scores record pairs as they arrive, the way a risk model sits in front of
 a live ER classifier to triage its output for human review.
 
-Three serving concerns are handled here:
+Two serving concerns are handled here:
 
-* **Micro-batching** — :meth:`RiskService.submit` buffers pairs and scores
-  them as one batch when the buffer reaches ``max_batch_size`` (or on
-  :meth:`RiskService.flush`).  Batch scoring amortises the classifier forward
-  pass and the portfolio aggregation over many pairs.
 * **Vectorisation caching** — turning a record pair into its metric vector
   (string similarities, TF-IDF cosine, ...) dominates scoring cost and depends
   only on the pair's records, so vectors are memoised in an LRU cache keyed by
@@ -28,13 +24,13 @@ pass) safe under concurrent callers.
 :meth:`score_workload`) accept ``workers=N`` / an
 :class:`~repro.parallel.config.ExecutionConfig` and route chunks through the
 :class:`~repro.parallel.engine.ParallelScoringEngine`, which shards them over
-a process pool (thread pool for small batches) and merges results back in
-source order, bit-identical to the serial path.  The service itself is never
-shipped to workers — it holds a lock and a mutable LRU cache, both of which
-are process-local by design; workers rebuild the *pipeline* from its
-picklable state instead.  Parallel passes therefore bypass the vectorisation
-cache; the statistics count those pairs separately (``cache_bypassed``) so
-the hit rate keeps describing only lookups the cache actually served.
+a process pool and merges results back in source order, bit-identical to
+the serial path.  The service itself is never shipped to workers — it holds
+a lock and a mutable LRU cache, both of which are process-local by design;
+workers rebuild the *pipeline* from its picklable state instead.  Parallel
+passes therefore bypass the vectorisation cache; the statistics count those
+pairs separately (``cache_bypassed``) so the hit rate keeps describing only
+lookups the cache actually served.
 """
 
 from __future__ import annotations
@@ -73,34 +69,6 @@ class ScoredPair:
     probability: float
     machine_label: int
     risk_score: float
-
-
-class PendingScore:
-    """Handle returned by :meth:`RiskService.submit` for a not-yet-scored pair.
-
-    Calling :meth:`result` forces a flush of the service's buffer if the pair
-    has not been scored yet.
-    """
-
-    def __init__(self, service: "RiskService", pair: RecordPair) -> None:
-        self._service = service
-        self.pair = pair
-        self._result: ScoredPair | None = None
-
-    @property
-    def done(self) -> bool:
-        """``True`` once the pair has been scored."""
-        return self._result is not None
-
-    def result(self) -> ScoredPair:
-        """Return the scored result, flushing the service's buffer if needed."""
-        if self._result is None:
-            self._service.flush()
-        assert self._result is not None, "flush() must resolve every buffered score"
-        return self._result
-
-    def _resolve(self, result: ScoredPair) -> None:
-        self._result = result
 
 
 class ServiceStats:
@@ -259,7 +227,8 @@ class RiskService:
         any :class:`~repro.compose.staged.StagedPipeline` (freshly fitted or
         loaded with :func:`repro.serve.persistence.load_pipeline`).
     max_batch_size:
-        Buffered :meth:`submit` calls auto-flush at this batch size.
+        Micro-batch size: larger inputs are scored in batches of at most
+        this many pairs (and it is the default streaming chunk size).
     cache_size:
         Maximum number of metric vectors kept in the LRU vectorisation cache;
         0 disables caching.
@@ -289,7 +258,6 @@ class RiskService:
         self.stats = ServiceStats()
         self._lock = threading.RLock()
         self._cache: OrderedDict[PairKey, np.ndarray] = OrderedDict()
-        self._buffer: list[tuple[RecordPair, PendingScore]] = []
         # Lazily-built multi-worker engines keyed by execution config, reused
         # across parallel passes so repeated score_source(workers=N) calls
         # keep their warmed pool.  One engine per config (instead of swapping
@@ -390,7 +358,7 @@ class RiskService:
         ]
 
     def score_pairs(self, pairs: Iterable[RecordPair]) -> list[ScoredPair]:
-        """Score pairs immediately (independently of the submit buffer).
+        """Score pairs immediately.
 
         Large inputs are processed in micro-batches of ``max_batch_size`` so
         memory stays bounded and batch statistics stay meaningful.
@@ -400,7 +368,7 @@ class RiskService:
             return []
         results: list[ScoredPair] = []
         # Lock per micro-batch, not across the whole input, so concurrent
-        # submit()/flush() callers are never blocked for more than one batch.
+        # callers are never blocked for more than one batch.
         for start in range(0, len(pairs), self.max_batch_size):
             with self._lock:
                 results.extend(self._score_batch(pairs[start:start + self.max_batch_size]))
@@ -457,9 +425,8 @@ class RiskService:
             chunk_size = config.resolve_chunk_size(self.max_batch_size)
         if chunk_size < 1:
             raise ConfigurationError("chunk_size must be >= 1")
-        length_hint = None if config.workers <= 1 else StagedPipeline._length_hint(source)
-        if config.resolve_backend(length_hint) != "serial":
-            yield from self._score_source_parallel(source, chunk_size, config, length_hint)
+        if config.workers > 1:
+            yield from self._score_source_parallel(source, chunk_size, config)
             return
         for chunk in source.iter_chunks(chunk_size):
             # Chunks larger than the micro-batch size are split so batch
@@ -508,11 +475,10 @@ class RiskService:
         source: PairSource | Workload,
         chunk_size: int,
         config: ExecutionConfig,
-        length_hint: int | None,
     ) -> Iterator[ScoredPair]:
         """The multi-worker branch of :meth:`score_source` (same order, same numbers)."""
         engine = self._parallel_engine(config)
-        results = engine.map_chunks(source.iter_chunks(chunk_size), length_hint=length_hint)
+        results = engine.map_chunks(source.iter_chunks(chunk_size))
         while True:
             start = time.perf_counter()
             batch = next(results, None)
@@ -550,46 +516,8 @@ class RiskService:
         returned list is identical — order and numbers — to the serial one.
         """
         config = self.pipeline._resolve_execution(workers, execution)
-        if isinstance(workload, PairSource):
-            return list(self.score_source(workload, workers=config.workers, execution=config))
-        if config.resolve_backend(len(workload.pairs)) != "serial":
+        if isinstance(workload, PairSource) or config.workers > 1:
             return list(self.score_source(
                 as_pair_source(workload), workers=config.workers, execution=config
             ))
         return self.score_pairs(workload.pairs)
-
-    # --------------------------------------------------------- micro-batching
-    def submit(self, pair: RecordPair) -> PendingScore:
-        """Buffer a pair for batched scoring; auto-flushes at ``max_batch_size``."""
-        pending = PendingScore(self, pair)
-        with self._lock:
-            self._buffer.append((pair, pending))
-            if len(self._buffer) >= self.max_batch_size:
-                self._flush_locked()
-        return pending
-
-    def flush(self) -> int:
-        """Score every buffered pair now; returns the number of pairs scored."""
-        with self._lock:
-            return self._flush_locked()
-
-    def _flush_locked(self) -> int:
-        if not self._buffer:
-            return 0
-        buffered, self._buffer = self._buffer, []
-        try:
-            results = self._score_batch([pair for pair, _ in buffered])
-        except Exception:
-            # Put the batch back so a transient scoring failure loses nothing
-            # and every PendingScore can still be resolved by a later flush.
-            self._buffer = buffered + self._buffer
-            raise
-        for (_, pending), scored in zip(buffered, results):
-            pending._resolve(scored)
-        return len(results)
-
-    @property
-    def pending_count(self) -> int:
-        """Number of submitted pairs waiting for the next flush."""
-        with self._lock:
-            return len(self._buffer)

@@ -70,7 +70,7 @@ class TestScoringParity:
                 report.risk_scores
                 for report in obs_pipeline.analyse_batches(
                     workload, batch_size=16,
-                    execution=ExecutionConfig(workers=2, backend="thread"),
+                    execution=ExecutionConfig(workers=2),
                 )
             ])
         assert np.array_equal(parallel, serial)
@@ -78,11 +78,11 @@ class TestScoringParity:
         assert registry.counter_value("parallel.pairs") == len(pairs)
         assert registry.histogram("parallel.worker_chunk_seconds").count == 4
         assert registry.histogram("parallel.queue_depth").count == 4
-        # The thread backend stamps thread names; at least one per-worker
+        # Pool workers stamp their process ids; at least one per-worker
         # histogram must exist and their chunk counts must sum to the total.
         per_worker = [
             stats for name, stats in registry.snapshot()["histograms"].items()
-            if name.startswith("parallel.worker.") and name.endswith(".chunk_seconds")
+            if name.startswith("parallel.worker.pid-") and name.endswith(".chunk_seconds")
         ]
         assert per_worker
         assert sum(stats["count"] for stats in per_worker) == 4
@@ -170,7 +170,7 @@ class TestServiceAccounting:
         # cache_bypassed, leaving the hit rate over real lookups untouched.
         list(service.score_source(
             InMemorySource(workload, name="obs-service"), chunk_size=10,
-            execution=ExecutionConfig(workers=2, backend="thread"),
+            execution=ExecutionConfig(workers=2),
         ))
         assert service.stats.cache_bypassed == len(pairs)
         assert service.stats.cache_hit_rate == pytest.approx(rate_before)

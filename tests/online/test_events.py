@@ -89,6 +89,24 @@ def test_event_lookup_and_reverted_ids():
     assert log.reverted_event_ids() == {merge.event_id}
 
 
+def test_event_lookup_finds_every_event_by_position(tmp_path):
+    log = EventLog(tmp_path / "events.jsonl")
+    appended = [append_pair_event(log, "escalate", "a", f"b{index}") for index in range(5)]
+    reloaded = EventLog(log.path)
+    for event in appended:
+        assert log.event(event.event_id) is event
+        assert reloaded.event(event.event_id) == event
+
+
+@pytest.mark.parametrize("event_id", ["evt-1", "evt-000000", "evt-000004", "foo"])
+def test_event_lookup_rejects_ids_that_name_no_event(event_id):
+    log = EventLog()
+    for index in range(3):
+        append_pair_event(log, "escalate", "a", f"b{index}")
+    with pytest.raises(DataError, match="unknown event id"):
+        log.event(event_id)
+
+
 def test_file_mirroring_and_reload(tmp_path):
     path = tmp_path / "events.jsonl"
     log = EventLog(path)

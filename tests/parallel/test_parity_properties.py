@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.data.sources import InMemorySource
 from repro.data.workload import Workload
-from repro.parallel import ExecutionConfig
 
 #: Worker counts the issue pins for the parity grid.
 WORKERS_GRID = (1, 2, 4)
@@ -42,11 +41,9 @@ def make_random_workload(parallel_split, seed: int, size: int) -> Workload:
     )
 
 
-def collect_reports(pipeline, workload, chunk_size: int, workers: int, backend: str):
-    execution = ExecutionConfig(workers=workers, backend=backend)
-    return list(pipeline.analyse_batches(
-        workload, batch_size=chunk_size, workers=workers, execution=execution
-    ))
+def collect_reports(pipeline, workload, chunk_size: int, workers: int):
+    """Reports of ``workers`` (a process pool when > 1) at ``chunk_size``."""
+    return list(pipeline.analyse_batches(workload, batch_size=chunk_size, workers=workers))
 
 
 def assert_reports_identical(expected, actual):
@@ -65,33 +62,22 @@ def assert_reports_identical(expected, actual):
 class TestRandomizedParityGrid:
     """Seeded random workloads × workers × chunk sizes, vs the serial path."""
 
-    @pytest.mark.parametrize("seed,size", [(0, 5), (1, 37), (2, 100)])
+    @pytest.mark.parametrize("seed,size", [(0, 5), (1, 37), (2, 100), (3, 50)])
     @pytest.mark.parametrize("workers", WORKERS_GRID)
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_thread_pool_matches_serial(
+    def test_process_pool_matches_serial(
         self, fitted_pipeline, parallel_split, seed, size, workers, chunk_size
     ):
         workload = make_random_workload(parallel_split, seed, size)
         serial = list(fitted_pipeline.analyse_batches(workload, batch_size=chunk_size))
-        parallel = collect_reports(fitted_pipeline, workload, chunk_size, workers, "thread")
-        assert_reports_identical(serial, parallel)
-
-    @pytest.mark.parametrize("workers", (2, 4))
-    @pytest.mark.parametrize("chunk_size", (1, 7, 64))
-    def test_process_pool_matches_serial(
-        self, fitted_pipeline, parallel_split, workers, chunk_size
-    ):
-        workload = make_random_workload(parallel_split, seed=3, size=50)
-        serial = list(fitted_pipeline.analyse_batches(workload, batch_size=chunk_size))
-        parallel = collect_reports(fitted_pipeline, workload, chunk_size, workers, "process")
+        parallel = collect_reports(fitted_pipeline, workload, chunk_size, workers)
         assert_reports_identical(serial, parallel)
 
     def test_explanations_survive_the_pool(self, fitted_pipeline, parallel_split):
         workload = make_random_workload(parallel_split, seed=4, size=60)
         serial = list(fitted_pipeline.analyse_batches(workload, batch_size=25, explain_top=3))
         parallel = list(fitted_pipeline.analyse_batches(
-            workload, batch_size=25, explain_top=3, workers=2,
-            execution=ExecutionConfig(workers=2, backend="process"),
+            workload, batch_size=25, explain_top=3, workers=2
         ))
         assert any(report.explanations for report in serial)
         assert_reports_identical(serial, parallel)
@@ -101,13 +87,13 @@ class TestDegenerateShapes:
     def test_empty_source_yields_no_reports(self, fitted_pipeline):
         source = InMemorySource([], name="empty")
         for workers in WORKERS_GRID:
-            reports = collect_reports(fitted_pipeline, source, 8, workers, "thread")
+            reports = collect_reports(fitted_pipeline, source, 8, workers)
             assert reports == []
 
     def test_single_pair_source(self, fitted_pipeline, parallel_split):
         workload = make_random_workload(parallel_split, seed=5, size=1)
         serial = list(fitted_pipeline.analyse_batches(workload, batch_size=4))
-        parallel = collect_reports(fitted_pipeline, workload, 4, 4, "thread")
+        parallel = collect_reports(fitted_pipeline, workload, 4, 4)
         assert_reports_identical(serial, parallel)
 
     def test_uneven_trailing_chunk(self, fitted_pipeline, parallel_split):
@@ -115,7 +101,7 @@ class TestDegenerateShapes:
         workload = make_random_workload(parallel_split, seed=6, size=23)
         serial = list(fitted_pipeline.analyse_batches(workload, batch_size=5))
         assert [len(report.pairs) for report in serial] == [5, 5, 5, 5, 3]
-        parallel = collect_reports(fitted_pipeline, workload, 5, 3, "thread")
+        parallel = collect_reports(fitted_pipeline, workload, 5, 3)
         assert_reports_identical(serial, parallel)
 
     def test_sources_with_empty_chunks_are_skipped(self, fitted_pipeline, parallel_split):
@@ -131,7 +117,7 @@ class TestDegenerateShapes:
         workload = make_random_workload(parallel_split, seed=7, size=20)
         serial = list(fitted_pipeline.analyse_batches(workload, batch_size=6))
         gappy = GappySource(workload.pairs, name="gappy")
-        parallel = collect_reports(fitted_pipeline, gappy, 6, 2, "thread")
+        parallel = collect_reports(fitted_pipeline, gappy, 6, 2)
         assert_reports_identical(serial, parallel)
 
 
@@ -144,7 +130,7 @@ class TestAggregateParity:
     ):
         workload = make_random_workload(parallel_split, seed=8, size=71)
         eager = fitted_pipeline.analyse(workload)
-        reports = collect_reports(fitted_pipeline, workload, chunk_size, workers, "thread")
+        reports = collect_reports(fitted_pipeline, workload, chunk_size, workers)
         assert np.array_equal(
             np.concatenate([report.risk_scores for report in reports]), eager.risk_scores
         )
@@ -207,5 +193,5 @@ class TestHypothesisShapes:
     ):
         workload = make_random_workload(parallel_split, seed, size)
         serial = list(fitted_pipeline.analyse_batches(workload, batch_size=chunk_size))
-        parallel = collect_reports(fitted_pipeline, workload, chunk_size, workers, "thread")
+        parallel = collect_reports(fitted_pipeline, workload, chunk_size, workers)
         assert_reports_identical(serial, parallel)

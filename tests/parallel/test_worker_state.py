@@ -60,6 +60,35 @@ class TestKernelPickleSafety:
         assert fitted_pipeline.risk_features._kernel is not None
 
 
+class TestProcessWorkerFunctions:
+    """The pool's worker-side entry points, driven in this process."""
+
+    def test_worker_rebuilds_once_and_stamps_telemetry(
+        self, fitted_pipeline, parallel_split, monkeypatch
+    ):
+        import os
+
+        from repro.parallel import engine
+
+        # Module globals are per worker process; restore them afterwards.
+        monkeypatch.setattr(engine, "_WORKER_PIPELINE", None)
+        monkeypatch.setattr(engine, "_WORKER_REBUILD_SECONDS", 0.0)
+        engine._initialize_process_worker(fitted_pipeline.to_state())
+        assert engine._WORKER_PIPELINE is not fitted_pipeline
+        assert engine._WORKER_PIPELINE.risk_features._kernel is not None  # warmed
+
+        chunk = parallel_split.test.pairs[:9]
+        first = engine._score_chunk_in_process(chunk, 2)
+        second = engine._score_chunk_in_process(chunk, 2)
+        expected = fitted_pipeline.score_chunk(chunk, explain_top=2)
+        # Telemetry is excluded from equality: the numbers match bit for bit.
+        assert first == expected and second == expected
+        assert first.worker == second.worker == f"pid-{os.getpid()}"
+        assert first.rebuild_seconds > 0.0  # the one-time rebuild, reported once
+        assert second.rebuild_seconds == 0.0
+        assert first.worker_seconds > 0.0
+
+
 class TestServiceIsProcessLocal:
     def test_risk_service_refuses_to_pickle(self, fitted_pipeline):
         service = RiskService(fitted_pipeline, cache_size=16)
@@ -81,7 +110,7 @@ class TestSpawnForkParity:
         for method in ("fork", "spawn"):
             if method not in multiprocessing.get_all_start_methods():
                 continue  # pragma: no cover - e.g. fork missing on Windows
-            execution = ExecutionConfig(workers=2, backend="process", start_method=method)
+            execution = ExecutionConfig(workers=2, start_method=method)
             by_method[method] = list(fitted_pipeline.analyse_batches(
                 workload, batch_size=64, execution=execution
             ))
